@@ -9,11 +9,11 @@ the square of the block size.
 """
 
 from kcalc import OdometerSpec, certify_no_isotropy, enumerate_arrows, product_with_af
-from kcalc.groupoid import Cylinder, compose_arrows, invert_arrow, refine_arrow, shift
+from kcalc.groupoid import Cylinder, compose_arrows, invert_arrow, refine_arrow
 
 c = Cylinder(level=4, base=0, word=(1, 2))
 print(f"cylinder {c}")
-print(f"  shifted once: {shift(c)}")
+print(f"  shifted once: {c.shift()}")
 print()
 
 k, level, depth, disp = 2, 2, 2, 1

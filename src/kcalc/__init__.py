@@ -9,11 +9,9 @@ truncations of the associated path-space groupoid.
 """
 
 from .arith import (
-    ConstrainedRational,
     FactorizationBudgetError,
     KPowerRational,
     SupernaturalNumber,
-    divides_supernatural,
     factorize,
     is_prime,
     multiplicative_order,
@@ -64,7 +62,6 @@ from .odometer import (
 from .groupoid import (
     ArrowClass,
     Cylinder,
-    GraphLevel,
     IsotropyCertificate,
     certify_no_isotropy,
     enumerate_arrows,
@@ -74,11 +71,9 @@ from .groupoid import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstrainedRational",
     "FactorizationBudgetError",
     "KPowerRational",
     "SupernaturalNumber",
-    "divides_supernatural",
     "factorize",
     "is_prime",
     "multiplicative_order",
@@ -121,7 +116,6 @@ __all__ = [
     "verify_correspondence_identities",
     "ArrowClass",
     "Cylinder",
-    "GraphLevel",
     "IsotropyCertificate",
     "certify_no_isotropy",
     "enumerate_arrows",

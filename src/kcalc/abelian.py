@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ConstrainedRational, SupernaturalNumber, prime_factors, valuation
+from .arith import SupernaturalNumber, prime_factors, valuation
 
 __all__ = [
     "CyclicElement",
@@ -126,19 +126,14 @@ class LocalizedQuotient:
     modulus: int
     constraint: SupernaturalNumber
 
-    def reduce(self, x: ConstrainedRational | Fraction | int) -> CyclicElement:
-        if isinstance(x, ConstrainedRational):
-            if x.constraint != self.constraint:
-                raise ValueError("value carries a different denominator constraint")
-            num, den = x.numer, x.denom
-        else:
-            fr = Fraction(x)
-            if not self.constraint.admits(fr.denominator):
-                raise ValueError(
-                    f"{fr} does not lie in the localized group "
-                    f"(constraint {self.constraint.describe()})"
-                )
-            num, den = fr.numerator, fr.denominator
+    def reduce(self, x: Fraction | int) -> CyclicElement:
+        fr = Fraction(x)
+        if not self.constraint.admits(fr.denominator):
+            raise ValueError(
+                f"{fr} does not lie in the localized group "
+                f"(constraint {self.constraint.describe()})"
+            )
+        num, den = fr.numerator, fr.denominator
         if self.modulus == 1:
             return CyclicElement(1, 0)
         return CyclicElement(self.modulus, num * pow(den, -1, self.modulus))
@@ -217,25 +212,26 @@ class LevelMismatchError(ValueError):
 class LocallyConstantProjectionClass:
     """A level-n locally constant class of projections, recorded by its traces.
 
-    Entry j is the (non-negative, denominator-constrained) trace value at the
-    residue j of the level-n cyclic quotient.
+    Entry j is the trace value at the residue j of the level-n cyclic
+    quotient.  Every trace is non-negative and its denominator is admitted by
+    ``constraint``, the supernatural number of the localized group the
+    traces live in.
     """
 
     level: int
-    traces: tuple[ConstrainedRational, ...]
+    constraint: SupernaturalNumber
+    traces: tuple[Fraction, ...]
 
     def __post_init__(self):
         if self.level < 1 or len(self.traces) != self.level:
             raise ValueError("trace vector length must equal the level")
-        if any(not t.is_nonnegative for t in self.traces):
-            raise ValueError("projection traces must be non-negative")
-        constraints = {t.constraint for t in self.traces}
-        if len(constraints) > 1:
-            raise ValueError("all traces must share one denominator constraint")
-
-    @property
-    def constraint(self) -> SupernaturalNumber:
-        return self.traces[0].constraint
+        for t in self.traces:
+            if t < 0:
+                raise ValueError("projection traces must be non-negative")
+            if not self.constraint.admits(t.denominator):
+                raise ValueError(
+                    f"trace {t} violates constraint {self.constraint.describe()}"
+                )
 
 
 def compare_projection_classes(
@@ -248,8 +244,8 @@ def compare_projection_classes(
         )
     if f.constraint != g.constraint:
         raise ValueError("mixed denominator constraints")
-    le = all(a.as_fraction() <= b.as_fraction() for a, b in zip(f.traces, g.traces))
-    ge = all(a.as_fraction() >= b.as_fraction() for a, b in zip(f.traces, g.traces))
+    le = all(a <= b for a, b in zip(f.traces, g.traces))
+    ge = all(a >= b for a, b in zip(f.traces, g.traces))
     if le and ge:
         return Comparison.EQUAL
     if le:
@@ -271,5 +267,6 @@ def refine_level(
         raise ValueError(f"{f.level} does not divide {finer_level}")
     return LocallyConstantProjectionClass(
         finer_level,
+        f.constraint,
         tuple(f.traces[x % f.level] for x in range(finer_level)),
     )

@@ -1,15 +1,14 @@
 """Exact arithmetic foundation.
 
 Elements of Z[1/k] (integers with a distinguished inverted base),
-supernatural numbers, rationals with constrained denominators, p-adic
-valuations, integer factorization and multiplicative orders.  Everything
+supernatural numbers, p-adic valuations, integer factorization and
+multiplicative orders.  Everything
 here is integer-exact; the library never touches floating point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -18,14 +17,12 @@ __all__ = [
     "FactorizationBudgetError",
     "KPowerRational",
     "SupernaturalNumber",
-    "ConstrainedRational",
     "is_prime",
     "valuation",
     "factorize",
     "prime_factors",
     "euler_phi",
     "multiplicative_order",
-    "divides_supernatural",
     "radical_divides",
 ]
 
@@ -478,75 +475,3 @@ class SupernaturalNumber:
 
     def __repr__(self) -> str:
         return f"SupernaturalNumber({self.describe()})"
-
-
-def divides_supernatural(m: int, s: SupernaturalNumber) -> bool:
-    """True iff v_p(m) <= v_p(s) for every prime p."""
-    return s.admits(m)
-
-
-@dataclass(frozen=True)
-class ConstrainedRational:
-    """A rational in lowest terms whose denominator divides a supernatural number."""
-
-    numer: int
-    denom: int
-    constraint: SupernaturalNumber
-
-    def __post_init__(self):
-        if self.denom <= 0:
-            raise ValueError("denominator must be positive")
-        g = math.gcd(self.numer, self.denom)
-        if g > 1:
-            object.__setattr__(self, "numer", self.numer // g)
-            object.__setattr__(self, "denom", self.denom // g)
-        if not self.constraint.admits(self.denom):
-            raise ValueError(
-                f"denominator {self.denom} violates constraint "
-                f"{self.constraint.describe()}"
-            )
-
-    @classmethod
-    def from_fraction(
-        cls, value: Fraction | int, constraint: SupernaturalNumber
-    ) -> "ConstrainedRational":
-        value = Fraction(value)
-        return cls(value.numerator, value.denominator, constraint)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numer, self.denom)
-
-    @property
-    def is_nonnegative(self) -> bool:
-        return self.numer >= 0
-
-    def _check_constraint(self, other: "ConstrainedRational") -> None:
-        if self.constraint != other.constraint:
-            raise ValueError("mixed denominator constraints")
-
-    def __add__(self, other: "ConstrainedRational") -> "ConstrainedRational":
-        if not isinstance(other, ConstrainedRational):
-            return NotImplemented
-        self._check_constraint(other)
-        return ConstrainedRational.from_fraction(
-            self.as_fraction() + other.as_fraction(), self.constraint
-        )
-
-    def __neg__(self) -> "ConstrainedRational":
-        return ConstrainedRational(-self.numer, self.denom, self.constraint)
-
-    def __sub__(self, other: "ConstrainedRational") -> "ConstrainedRational":
-        if not isinstance(other, ConstrainedRational):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "ConstrainedRational") -> "ConstrainedRational":
-        if not isinstance(other, ConstrainedRational):
-            return NotImplemented
-        self._check_constraint(other)
-        return ConstrainedRational.from_fraction(
-            self.as_fraction() * other.as_fraction(), self.constraint
-        )
-
-    def __str__(self) -> str:
-        return str(self.as_fraction())

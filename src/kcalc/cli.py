@@ -348,11 +348,12 @@ def _emit(report: dict, args) -> None:
         text = "\n".join(lines)
     else:
         text = json.dumps(report, indent=2)
-    print(text)
+    # Write the file first, so that an unwritable --out prints no report.
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,13 +440,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         report = args.handler(args)
+        _emit(report, args)
     except FactorizationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(report, args)
     if args.subcommand == "selftest" and not report["results"]["all_ok"]:
         return 1
     return EXIT_OK

@@ -12,13 +12,12 @@ the word depth splits each class into k copies per extra letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Sequence
+from itertools import islice, product
+from typing import Sequence
 
 from .odometer import OdometerSpec
 
 __all__ = [
-    "GraphLevel",
     "Cylinder",
     "ArrowClass",
     "ProductArrow",
@@ -26,7 +25,6 @@ __all__ = [
     "IsotropyCertificate",
     "ResolutionExhaustedError",
     "InsufficientPrefixError",
-    "shift",
     "cylinders_comparable",
     "enumerate_arrows",
     "compose_arrows",
@@ -37,6 +35,9 @@ __all__ = [
     "compose_product_arrows",
 ]
 
+# Product arrows materialized by ``product_with_af``.
+_AF_SAMPLES = 10
+
 
 class ResolutionExhaustedError(ValueError):
     """A cylinder with an empty word cannot be shifted further."""
@@ -44,31 +45,6 @@ class ResolutionExhaustedError(ValueError):
 
 class InsufficientPrefixError(ValueError):
     """No stored level is fine enough to certify the requested bound."""
-
-
-@dataclass(frozen=True)
-class GraphLevel:
-    """The finite graph with vertices Z_N and k parallel edge families.
-
-    Edge (x, i) has source x and range x + 1 mod N, so the source map is
-    k-to-1 and the range map is onto.
-    """
-
-    k: int
-    vertices: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.vertices < 1:
-            raise ValueError("need k >= 1 and at least one vertex")
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        return product(range(self.vertices), range(1, self.k + 1))
-
-    def source(self, edge: tuple[int, int]) -> int:
-        return edge[0]
-
-    def range_of(self, edge: tuple[int, int]) -> int:
-        return (edge[0] + 1) % self.vertices
 
 
 @dataclass(frozen=True)
@@ -100,10 +76,6 @@ class Cylinder:
         for _ in range(times):
             c = c.shift()
         return c
-
-
-def shift(c: Cylinder) -> Cylinder:
-    return c.shift()
 
 
 def cylinders_comparable(a: Cylinder, b: Cylinder) -> bool:
@@ -141,10 +113,6 @@ class ArrowClass:
     @property
     def displacement(self) -> int:
         return self.m - self.n
-
-    @property
-    def is_isotropy_shaped(self) -> bool:
-        return self.source == self.target
 
 
 def enumerate_arrows(
@@ -312,9 +280,7 @@ class AfProduct:
     samples: tuple[ProductArrow, ...]
 
 
-def product_with_af(
-    arrows: Sequence[ArrowClass], block_size: int, *, sample_limit: int = 10
-) -> AfProduct:
+def product_with_af(arrows: Sequence[ArrowClass], block_size: int) -> AfProduct:
     """Product with the full equivalence relation on a block of the given size.
 
     The product has exactly len(arrows) * block_size**2 arrows; a deterministic
@@ -322,21 +288,12 @@ def product_with_af(
     """
     if block_size < 1:
         raise ValueError("block size must be positive")
-    samples = []
-    for arrow in arrows:
-        for row in range(block_size):
-            for col in range(block_size):
-                samples.append(ProductArrow(arrow, row, col))
-                if len(samples) >= sample_limit:
-                    break
-            if len(samples) >= sample_limit:
-                break
-        if len(samples) >= sample_limit:
-            break
+    # product() copies its inputs; _AF_SAMPLES arrows already hold enough cells.
+    cells = product(arrows[:_AF_SAMPLES], range(block_size), range(block_size))
     return AfProduct(
         count=len(arrows) * block_size ** 2,
         block_size=block_size,
-        samples=tuple(samples),
+        samples=tuple(ProductArrow(*cell) for cell in islice(cells, _AF_SAMPLES)),
     )
 
 

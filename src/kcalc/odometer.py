@@ -137,14 +137,6 @@ class LocallyConstantFn:
         if self.k != other.k or self.level != other.level:
             raise ValueError("mixed bases or levels")
 
-    def refine_to(self, finer_level: int) -> "LocallyConstantFn":
-        """View the function at a finer level: entry at x is the entry at x mod n."""
-        if finer_level % self.level != 0:
-            raise ValueError(f"{self.level} does not divide {finer_level}")
-        return LocallyConstantFn(
-            self.k, tuple(self.values[x % self.level] for x in range(finer_level))
-        )
-
     @property
     def is_zero(self) -> bool:
         return all(v.is_zero for v in self.values)
@@ -230,11 +222,12 @@ def membership_series(f: LocallyConstantFn) -> SeriesMembership:
 
 @dataclass(frozen=True)
 class KernelCertificate:
-    """Exact-elimination certificate that id - (1/k)T has trivial kernel.
+    """Exact certificate that id - (1/k)T has trivial kernel.
 
     The cyclic system f(x) = (1/k) f(x - 1) forces f(0) = k**-n f(0) after
     eliminating forward around the cycle; the closing pivot 1 - k**-n is
-    recorded, and its nonvanishing certifies that the only solution is zero.
+    recorded in closed form, and its nonvanishing certifies that the only
+    solution is zero.
     """
 
     k: int
@@ -249,11 +242,7 @@ class KernelCertificate:
 def kernel_certificate(k: int, n: int) -> KernelCertificate:
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and n >= 1")
-    coeff = Fraction(1)
-    for _ in range(1, n):
-        coeff /= k
-    pivot = 1 - coeff / k
-    return KernelCertificate(k, n, pivot)
+    return KernelCertificate(k, n, 1 - Fraction(1, k ** n))
 
 
 def kernel_is_trivial(k: int, n: int) -> bool:

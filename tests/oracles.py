@@ -34,6 +34,18 @@ def dense_kernel_is_trivial(k: int, n: int) -> bool:
     return rank == n
 
 
+def eliminated_kernel_pivot(k: int, n: int) -> Fraction:
+    """Closing pivot of forward elimination around the cycle f(x) = (1/k) f(x - 1).
+
+    Substituting each equation into the next carries f(0) once around the
+    n-cycle with one division by k per step.
+    """
+    coeff = Fraction(1)
+    for _ in range(1, n):
+        coeff /= k
+    return 1 - coeff / k
+
+
 def coset_count(m: int, allowed_primes: list[int], admits_denominator, cap: int) -> int:
     """Cosets of m*H inside H, scanned over a truncated denominator layer.
 

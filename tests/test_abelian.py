@@ -17,7 +17,7 @@ from kcalc.abelian import (
     refine_level,
     tensor_cyclic_with_localized,
 )
-from kcalc.arith import ConstrainedRational, SupernaturalNumber
+from kcalc.arith import SupernaturalNumber
 from oracles import coset_count, strip_primes
 
 S2 = SupernaturalNumber.from_powers({2: None})
@@ -93,7 +93,7 @@ class TestCyclicHom:
 class TestLocalizedQuotient:
     def test_example_half_mod_three(self):
         q = quotient_localized_by_m(S2, 3)
-        assert q.reduce(ConstrainedRational(1, 2, S2)) == CyclicElement(3, 2)
+        assert q.reduce(Fraction(1, 2)) == CyclicElement(3, 2)
 
     def test_example_trivial_modulus(self):
         q = quotient_localized_by_m(S23, 1)
@@ -101,7 +101,7 @@ class TestLocalizedQuotient:
 
     def test_example_two_thirds_mod_five(self):
         q = quotient_localized_by_m(S23, 5)
-        assert q.reduce(ConstrainedRational(2, 3, S23)) == CyclicElement(5, 4)
+        assert q.reduce(Fraction(2, 3)) == CyclicElement(5, 4)
 
     def test_precondition_violation(self):
         with pytest.raises(ValueError):
@@ -178,9 +178,7 @@ class TestTensor:
 
 
 def _cls(level, values, s=S2):
-    return LocallyConstantProjectionClass(
-        level, tuple(ConstrainedRational.from_fraction(Fraction(v), s) for v in values)
-    )
+    return LocallyConstantProjectionClass(level, s, tuple(Fraction(v) for v in values))
 
 
 class TestProjectionClasses:
@@ -206,15 +204,24 @@ class TestProjectionClasses:
         with pytest.raises(ValueError):
             _cls(2, [1, -1])
 
+    def test_trace_denominator_must_be_admitted(self):
+        with pytest.raises(ValueError):
+            _cls(1, ["1/3"])
+        assert _cls(1, ["3/3"]).traces == (1,)
+
+    def test_mixed_constraints_rejected(self):
+        with pytest.raises(ValueError):
+            compare_projection_classes(_cls(2, [1, 1]), _cls(2, [1, 1], S5))
+
     def test_refine_constant(self):
         f = _cls(1, [1])
         g = refine_level(f, 3)
-        assert [t.as_fraction() for t in g.traces] == [1, 1, 1]
+        assert list(g.traces) == [1, 1, 1]
 
     def test_refine_pattern(self):
         f = _cls(2, ["1/2", 1])
         g = refine_level(f, 4)
-        assert [t.as_fraction() for t in g.traces] == [
+        assert list(g.traces) == [
             Fraction(1, 2),
             1,
             Fraction(1, 2),

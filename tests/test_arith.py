@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcalc.arith import (
-    ConstrainedRational,
     FactorizationBudgetError,
     KPowerRational,
     SupernaturalNumber,
-    divides_supernatural,
     euler_phi,
     factorize,
     is_prime,
@@ -182,9 +180,9 @@ class TestMultiplicativeOrder:
 
 class TestSupernatural:
     def test_divides_examples(self):
-        assert divides_supernatural(8, SupernaturalNumber.from_powers({2: None}))
-        assert not divides_supernatural(10, SupernaturalNumber.from_powers({2: None}))
-        assert divides_supernatural(35, SupernaturalNumber.coprime_complement(2))
+        assert SupernaturalNumber.from_powers({2: None}).admits(8)
+        assert not SupernaturalNumber.from_powers({2: None}).admits(10)
+        assert SupernaturalNumber.coprime_complement(2).admits(35)
 
     def test_multiplicity(self):
         s = SupernaturalNumber.from_powers({2: None, 3: 2})
@@ -235,32 +233,3 @@ class TestRadicalDivides:
     def test_matches_definition(self, m, d):
         expected = all(d % p == 0 for p in trial_division_factorize(m))
         assert radical_divides(m, d) == expected
-
-
-class TestConstrainedRational:
-    def test_lowest_terms(self):
-        s = SupernaturalNumber.from_powers({2: None})
-        x = ConstrainedRational(6, 4, s)
-        assert (x.numer, x.denom) == (3, 2)
-
-    def test_constraint_violation(self):
-        s = SupernaturalNumber.from_powers({2: None})
-        with pytest.raises(ValueError):
-            ConstrainedRational(1, 3, s)
-        # reducible to an admissible denominator is fine
-        assert ConstrainedRational(3, 3, s).denom == 1
-
-    def test_arithmetic(self):
-        s = SupernaturalNumber.from_powers({2: None, 3: None})
-        x = ConstrainedRational.from_fraction(Fraction(1, 2), s)
-        y = ConstrainedRational.from_fraction(Fraction(2, 3), s)
-        assert (x + y).as_fraction() == Fraction(7, 6)
-        assert (x - y).as_fraction() == Fraction(-1, 6)
-        assert (x * y).as_fraction() == Fraction(1, 3)
-        assert (-x).as_fraction() == Fraction(-1, 2)
-
-    def test_mixed_constraints_rejected(self):
-        a = ConstrainedRational(1, 2, SupernaturalNumber.from_powers({2: None}))
-        b = ConstrainedRational(1, 3, SupernaturalNumber.from_powers({3: None}))
-        with pytest.raises(ValueError):
-            a + b

@@ -71,6 +71,13 @@ class TestOkCommand:
         code, _, _ = run_cli(capsys, "ok", "--k", "1")
         assert code == EXIT_USAGE
 
+    def test_report_beyond_int_str_limit_exits_2(self, capsys):
+        # the stage moduli of this tower print with more than 4300 digits
+        code, out, err = run_cli(capsys, "ok", "--k", "10", "--depth", "5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestMembershipCommand:
     def test_non_member(self, capsys):
@@ -210,6 +217,13 @@ class TestReportPlumbing:
         )
         assert code == EXIT_OK
         assert json.loads(path.read_text())["results"]["prime_power"] == 7
+
+    def test_out_file_in_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "k0", "--k", "2", "--levels", "1,2", "--out", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_selftest_passes(self, capsys):
         report = run_json(capsys, "selftest")

@@ -5,7 +5,6 @@ import pytest
 from kcalc.groupoid import (
     ArrowClass,
     Cylinder,
-    GraphLevel,
     InsufficientPrefixError,
     ResolutionExhaustedError,
     certify_no_isotropy,
@@ -16,7 +15,6 @@ from kcalc.groupoid import (
     invert_arrow,
     product_with_af,
     refine_arrow,
-    shift,
 )
 from kcalc.odometer import OdometerSpec
 from oracles import pair_scan_arrows
@@ -26,24 +24,10 @@ def arrow_key(a: ArrowClass):
     return (a.source.base, a.source.word, a.target.base, a.target.word, a.m, a.n)
 
 
-class TestGraphLevel:
-    def test_source_is_k_to_one(self):
-        g = GraphLevel(3, 4)
-        edges = list(g.edges())
-        assert len(edges) == 12
-        for x in range(4):
-            assert sum(1 for e in edges if g.source(e) == x) == 3
-
-    def test_range_rotates(self):
-        g = GraphLevel(2, 4)
-        assert g.range_of((3, 1)) == 0
-        assert g.range_of((1, 2)) == 2
-
-
 class TestCylinder:
     def test_shift_example(self):
         c = Cylinder(4, 0, (1, 2))
-        assert shift(c) == Cylinder(4, 1, (2,))
+        assert c.shift() == Cylinder(4, 1, (2,))
 
     def test_shift_until_empty(self):
         c = Cylinder(3, 2, (1, 1, 2))
@@ -56,7 +40,7 @@ class TestCylinder:
     def test_trivial_vertex_level(self):
         c = Cylinder(1, 5, (1, 2))
         assert c.base == 0
-        assert shift(c).base == 0
+        assert c.shift().base == 0
 
     def test_comparable_at_resolution(self):
         assert cylinders_comparable(Cylinder(2, 1, (1, 2)), Cylinder(2, 1, (1,)))

@@ -25,7 +25,7 @@ from kcalc.odometer import (
     translate,
 )
 from kcalc.colimit import Geometric
-from oracles import dense_kernel_is_trivial
+from oracles import dense_kernel_is_trivial, eliminated_kernel_pivot
 
 
 def random_fn(rng, k, n, span=20, max_expo=4):
@@ -169,7 +169,8 @@ class TestPsi:
                 eta = connecting_map(k, n, n_fine)
                 for _ in range(25):
                     f = random_fn(rng, k, n)
-                    assert psi(f.refine_to(n_fine)) == eta(psi(f))
+                    fine = LocallyConstantFn(k, f.values * (n_fine // n))
+                    assert psi(fine) == eta(psi(f))
 
 
 class TestMembership:
@@ -251,6 +252,12 @@ class TestKernel:
         cert = kernel_certificate(2, 3)
         assert cert.pivot == Fraction(7, 8)
         assert cert.trivial
+
+    def test_closed_form_pivot_matches_elimination(self):
+        for k in range(2, 7):
+            for n in range(1, 65):
+                assert kernel_certificate(k, n).pivot == eliminated_kernel_pivot(k, n)
+        assert kernel_certificate(2, 4096).pivot == eliminated_kernel_pivot(2, 4096)
 
 
 class TestFiniteStage:
