@@ -288,12 +288,16 @@ def product_with_af(arrows: Sequence[ArrowClass], block_size: int) -> AfProduct:
     """
     if block_size < 1:
         raise ValueError("block size must be positive")
-    # product() copies its inputs; _AF_SAMPLES arrows already hold enough cells.
-    cells = product(arrows[:_AF_SAMPLES], range(block_size), range(block_size))
+    cells = (
+        ProductArrow(a, row, col)
+        for a in arrows
+        for row in range(block_size)
+        for col in range(block_size)
+    )
     return AfProduct(
         count=len(arrows) * block_size ** 2,
         block_size=block_size,
-        samples=tuple(ProductArrow(*cell) for cell in islice(cells, _AF_SAMPLES)),
+        samples=tuple(islice(cells, _AF_SAMPLES)),
     )
 
 

@@ -205,6 +205,16 @@ class TestAfProduct:
         arrows = enumerate_arrows(2, 2, 2, 1)[:10]
         assert product_with_af(arrows, 3).count == 90
 
+    def test_huge_block_samples_lazily(self):
+        from kcalc.groupoid import ProductArrow
+
+        src = Cylinder(2, 0, (1, 2))
+        a = ArrowClass(source=src, target=src, m=0, n=0)
+        af = product_with_af([a], 10**12)
+        assert af.count == 10**24
+        assert af.samples == tuple(ProductArrow(a, 0, c) for c in range(10))
+        assert product_with_af([], 10**12).samples == ()
+
     def test_componentwise_composition(self):
         from kcalc.groupoid import ProductArrow
 
