@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import DEFAULT_BUDGET_BITS, FactorizationBudgetError, KPowerRational
+from .arith import DEFAULT_BUDGET_BITS, FactorizationBudgetError
 from .colimit import (
     Geometric,
     distinguish_colimits,
@@ -80,14 +80,11 @@ def _cmd_k0(args) -> dict:
     t0 = time.perf_counter()
     spec = _spec_from_args(args)
     result = k0_odometer(spec)
-    ratios = [
-        (spec.k ** b - 1) // (spec.k ** a - 1)
-        for a, b in zip(spec.levels, spec.levels[1:])
-    ]
+    moduli = result.k0.moduli
     results = {
         "levels": list(spec.levels),
-        "moduli": list(result.k0.moduli),
-        "multipliers": ratios,
+        "moduli": list(moduli),
+        "multipliers": [b // a for a, b in zip(moduli, moduli[1:])],
         "multipliers_reduced": [h.multiplier for h in result.k0.maps],
         "unit_thread": [u.residue for u in result.k0.unit_thread],
         "k1": 0 if result.k1_trivial else "unknown",
@@ -143,9 +140,6 @@ def _cmd_membership(args) -> dict:
         raise ValueError(f"malformed value list: {args.values!r}")
     if len(fractions) != args.n:
         raise ValueError(f"expected {args.n} values, got {len(fractions)}")
-    for v in fractions:
-        if not KPowerRational.fraction_in_ring(v, args.k):
-            raise ValueError(f"{v} does not lie in Z[1/{args.k}]")
     f = LocallyConstantFn.from_fractions(args.k, fractions)
     residue = psi(f)
     by_psi = membership_psi(f)
@@ -429,10 +423,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """Join ``--values`` and the word after it into ``--values=<list>``.
+
+    argparse reads a separate word that starts with a minus sign, such as
+    ``-1/2,1``, as an option rather than as the value of ``--values``.
+    """
+    words = iter(argv)
+    joined = []
+    for word in words:
+        value = next(words, None) if word == "--values" else None
+        joined.append(word if value is None else f"--values={value}")
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.subcommand in ("k0", "ok", "membership", "witness") and args.k < 2:

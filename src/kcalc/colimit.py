@@ -17,7 +17,6 @@ from .arith import (
     SupernaturalNumber,
     factorize,
     is_prime,
-    multiplicative_order,
     prime_factors,
     valuation,
 )
@@ -70,17 +69,17 @@ class Geometric:
 class CyclicColimit:
     """A finite prefix of an inductive sequence of cyclic groups.
 
-    Connecting maps must be injective; a unit thread, when present, must be
-    compatible (each map carries the unit of one stage to the next).  When
-    the prefix comes from an odometer tower, ``k`` and ``level_rule`` allow
-    order-spectrum statements to be certified over all stages, not just the
-    stored prefix.
+    Connecting maps must be injective, so each modulus divides the next; a
+    unit thread, when present, must be compatible (each map carries the unit
+    of one stage to the next).  ``level_rule`` declares the prefix to be the
+    tower Z_{k**n_i - 1} of an odometer whose levels n_i follow the rule; it
+    lets order-spectrum statements be certified over all stages, not just
+    the stored prefix.
     """
 
     moduli: tuple[int, ...]
     maps: tuple[CyclicHom, ...]
     unit_thread: tuple[CyclicElement, ...] | None = None
-    k: int | None = None
     level_rule: Geometric | None = None
 
     def __post_init__(self):
@@ -162,60 +161,36 @@ class OrderBound:
     exact: bool
 
 
-def _certified_supremum(k: int, rule: Geometric, q: int) -> int | None:
-    """Supremum of v_q(k**n - 1) over all levels n of the rule; None = unbounded.
-
-    Uses the lifted-exponent identities: for odd q with d = ord_q(k) and
-    d | n, v_q(k**n - 1) = v_q(k**d - 1) + v_q(n/d); for q = 2 and odd k,
-    v_2(k**n - 1) is v_2(k-1) for odd n and v_2(k-1) + v_2(k+1) + v_2(n) - 1
-    for even n.
-    """
-    c, r = rule.first, rule.ratio
-    if k % q == 0:
-        return 0
-    if q == 2:
-        if k % 2 == 0:
-            return 0
-        if r % 2 == 0:
-            return None
-        if c % 2 == 1:
-            return valuation(k - 1, 2)
-        return valuation(k - 1, 2) + valuation(k + 1, 2) + valuation(c, 2) - 1
-    d = multiplicative_order(k, q)
-    for t, e in factorize(d).items():
-        if r % t == 0:
-            continue
-        if valuation(c, t) < e:
-            return 0
-    if r % q == 0:
-        return None
-    return valuation(k ** d - 1, q) + valuation(c, q) - valuation(d, q)
-
-
 def order_spectrum(
     colimit: CyclicColimit, *, budget_bits: int = DEFAULT_BUDGET_BITS
 ) -> dict[int, OrderBound]:
     """Prime-power element orders visible in the prefix.
 
     Maps each prime dividing some stage modulus to the largest multiplicity
-    seen in the prefix; the flag records whether a level rule certifies that
-    this is the supremum over the whole sequence.
+    seen in the prefix.  Each modulus divides the next, so that multiplicity
+    is the prime's multiplicity in the last modulus, and one factorization
+    serves the whole prefix.
+
+    The flag records whether the level rule certifies that this is the
+    supremum over the whole sequence, which holds exactly when q does not
+    divide the ratio r.  By lifting the exponent, once q divides k**n - 1 the
+    multiplicity v_q(k**n - 1) depends on n only through v_q(n), and grows
+    strictly with it: it is v_q(k**d - 1) + v_q(n) for odd q with
+    d = ord_q(k) dividing n (q does not divide d, a divisor of q - 1), and
+    for q = 2 it is v_2(k - 1) for odd n and v_2(k - 1) + v_2(k + 1) +
+    v_2(n) - 1 for even n.  The levels n_i = c * r**(i-1) divide one
+    another, so q divides every modulus from
+    the first stage where it appears, which lies in the prefix.  When q does
+    not divide r, v_q(n_i) = v_q(c) is constant and the multiplicity never
+    moves again; when q divides r, v_q(n_i) and the multiplicity grow
+    without bound.
     """
-    per_prime: dict[int, int] = {}
-    for m in colimit.moduli:
-        if m == 1:
-            continue
-        for q, e in factorize(m, budget_bits=budget_bits).items():
-            per_prime[q] = max(per_prime.get(q, 0), e)
-    certifiable = colimit.k is not None and colimit.level_rule is not None
-    spectrum: dict[int, OrderBound] = {}
-    for q, prefix_max in sorted(per_prime.items()):
-        exact = False
-        if certifiable:
-            sup = _certified_supremum(colimit.k, colimit.level_rule, q)
-            exact = sup is not None and sup == prefix_max
-        spectrum[q] = OrderBound(prefix_max, exact)
-    return spectrum
+    powers = factorize(colimit.moduli[-1], budget_bits=budget_bits)
+    rule = colimit.level_rule
+    return {
+        q: OrderBound(e, exact=rule is not None and rule.ratio % q != 0)
+        for q, e in sorted(powers.items())
+    }
 
 
 @dataclass(frozen=True)
@@ -258,8 +233,11 @@ def prime_power_order_witness(
     """Minimal prime power q**r dividing k**(p**s) - 1 but not k**(p**(s-1)) - 1.
 
     Minimality: smallest prime q, then the smallest exponent r exceeding the
-    multiplicity of q in k**(p**(s-1)) - 1.  The order of k modulo q**r is
-    then exactly p**s, which the returned witness certifies.
+    multiplicity of q in k**(p**(s-1)) - 1.  The primes whose multiplicity
+    grows from k**(p**(s-1)) - 1 to k**(p**s) - 1 are those of the quotient,
+    the cyclotomic value Phi_{p**s}(k), so q is its least prime and only the
+    quotient is factorized (and held to the budget).  The order of k modulo
+    q**r is then exactly p**s, which the returned witness certifies.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -267,14 +245,9 @@ def prime_power_order_witness(
         raise ValueError(f"{p} is not prime")
     if s < 1:
         raise ValueError("s must be >= 1")
-    big = k ** (p ** s) - 1
     small = k ** (p ** (s - 1)) - 1
-    for q, a in sorted(factorize(big, budget_bits=budget_bits).items()):
-        b = valuation(small, q)
-        if a > b:
-            r = b + 1
-            return PrimePowerWitness(k, p, s, q, r, order=p ** s)
-    raise RuntimeError("no witness found; k**(p**s) - 1 should properly exceed")
+    q = min(factorize((k ** (p ** s) - 1) // small, budget_bits=budget_bits))
+    return PrimePowerWitness(k, p, s, q, valuation(small, q) + 1, order=p ** s)
 
 
 @dataclass(frozen=True)

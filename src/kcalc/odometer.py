@@ -325,7 +325,6 @@ def k0_odometer(spec: OdometerSpec) -> OdometerKTheory:
         moduli=moduli,
         maps=maps,
         unit_thread=units,
-        k=k,
         level_rule=spec.rule,
     )
     return OdometerKTheory(spec=spec, k0=colimit, kernel_certificates=certificates)

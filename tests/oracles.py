@@ -155,3 +155,50 @@ def valuation_by_division(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def searched_order_witness(k: int, p: int, s: int) -> tuple[int, int]:
+    """(q, r) of the least prime power q**r dividing k**(p**s) - 1 but not k**(p**(s-1)) - 1.
+
+    Scans the full factorization of k**(p**s) - 1 (sympy's ``factorint``)
+    for the least prime whose multiplicity exceeds the one in
+    k**(p**(s-1)) - 1, and takes r one above that smaller multiplicity.
+    """
+    from sympy import factorint
+
+    big = k ** (p ** s) - 1
+    small = k ** (p ** (s - 1)) - 1
+    for q, a in sorted(factorint(big).items()):
+        b = valuation_by_division(small, q)
+        if a > b:
+            return q, b + 1
+    raise AssertionError(f"{k}**({p}**{s}) - 1 gains no prime power")
+
+
+def lte_supremum(k: int, first: int, ratio: int, q: int) -> int | None:
+    """Supremum of v_q(k**n - 1) over the levels n = first * ratio**i; None when unbounded.
+
+    Uses the lifted-exponent identities: for odd q with d = ord_q(k) and
+    d | n, v_q(k**n - 1) = v_q(k**d - 1) + v_q(n/d); for q = 2 and odd k,
+    v_2(k**n - 1) is v_2(k-1) for odd n and v_2(k-1) + v_2(k+1) + v_2(n) - 1
+    for even n.  Orders and factorizations come from sympy.
+    """
+    from sympy import factorint
+    from sympy.ntheory import n_order
+
+    c, r, v = first, ratio, valuation_by_division
+    if k % q == 0:
+        return 0
+    if q == 2:
+        if r % 2 == 0:
+            return None
+        if c % 2 == 1:
+            return v(k - 1, 2)
+        return v(k - 1, 2) + v(k + 1, 2) + v(c, 2) - 1
+    d = n_order(k, q)
+    for t, e in factorint(d).items():
+        if r % t != 0 and v(c, t) < e:
+            return 0
+    if r % q == 0:
+        return None
+    return v(k ** d - 1, q) + v(c, q) - v(d, q)

@@ -99,6 +99,14 @@ class TestMembershipCommand:
         code, _, _ = run_cli(capsys, "membership", "--k", "2", "--n", "3", "--values", "1,0")
         assert code == EXIT_USAGE
 
+    def test_leading_minus_value_as_separate_word(self, capsys):
+        joined = run_json(capsys, "membership", "--k", "2", "--n", "2", "--values=-1/2,1")
+        separate = run_json(capsys, "membership", "--k", "2", "--n", "2", "--values", "-1/2,1")
+        joined.pop("timing_ms")
+        separate.pop("timing_ms")
+        assert separate == joined
+        assert separate["results"]["member_by_psi"]
+
     def test_foreign_value_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "membership", "--k", "2", "--n", "1", "--values", "1/3")
         assert code == EXIT_USAGE
@@ -138,6 +146,24 @@ class TestWitnessCommand:
         )
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "k,p,s,q,r",
+        [
+            (2, 2, 7, 274177, 1),  # 2**128 - 1 has 128 bits, Phi_128(2) = 2**64 + 1 has 65
+            (3, 2, 6, 2, 8),  # 3**64 - 1 has 102 bits, Phi_64(3) = 3**32 + 1 has 51
+        ],
+    )
+    def test_guard_applies_to_the_cyclotomic_quotient(self, capsys, k, p, s, q, r):
+        report = run_json(capsys, "witness", "--k", str(k), "--p", str(p), "--s", str(s))
+        assert (report["results"]["q"], report["results"]["r"]) == (q, r)
+        assert report["results"]["order_of_k"] == p ** s
+
+    @pytest.mark.parametrize("k,p,s", [(2, 3, 5), (2, 5, 3), (2, 11, 2), (2, 13, 2), (2, 2, 10)])
+    def test_quotient_over_the_guard_exits_3(self, capsys, k, p, s):
+        code, out, err = run_cli(capsys, "witness", "--k", str(k), "--p", str(p), "--s", str(s))
+        assert code == EXIT_BUDGET
+        assert out == "" and "budget" in err
 
 
 class TestGroupoidCommand:

@@ -1,8 +1,10 @@
 """Tests for colimit elements, order invariants, witnesses and the pipeline."""
 
+from itertools import product
 from random import Random
 
 import pytest
+from sympy import factorint, primerange
 
 from kcalc.abelian import CyclicElement, CyclicHom
 from kcalc.arith import FactorizationBudgetError, valuation
@@ -17,7 +19,7 @@ from kcalc.colimit import (
     push,
 )
 from kcalc.odometer import OdometerSpec, k0_odometer
-from oracles import naive_order_in_cyclic
+from oracles import lte_supremum, naive_order_in_cyclic, searched_order_witness
 
 
 def binary_tower(levels=(1, 2, 4), rule=None):
@@ -154,6 +156,29 @@ class TestOrderSpectrum:
             else:
                 assert deep_max >= bound.prefix_max, (k, rule, q)
 
+    def test_grid_matches_stage_factorizations_and_lte_supremum(self):
+        # k 2..12, c 1..6, r 2..6, 1..4 stages, last modulus within 64 bits
+        towers = 0
+        for k, c, r, stages in product(range(2, 13), range(1, 7), range(2, 7), range(1, 5)):
+            rule = Geometric(c, r)
+            levels = rule.levels(stages)
+            if (k ** levels[-1] - 1).bit_length() > 64:
+                continue
+            towers += 1
+            spectrum = order_spectrum(k0_odometer(OdometerSpec(k, levels, rule=rule)).k0)
+            per_stage = [factorint(k ** n - 1) for n in levels]
+            assert set(spectrum) == set().union(*per_stage), (k, rule, stages)
+            for q, bound in spectrum.items():
+                assert bound.prefix_max == max(f.get(q, 0) for f in per_stage)
+                assert bound.exact == (lte_supremum(k, c, r, q) == bound.prefix_max), (k, rule, q)
+        assert towers == 756
+
+    def test_budget_applies_to_the_last_modulus(self):
+        tower = k0_odometer(OdometerSpec(2, (1, 2, 4, 8, 16))).k0
+        assert set(order_spectrum(tower, budget_bits=16)) == {3, 5, 17, 257}
+        with pytest.raises(FactorizationBudgetError):
+            order_spectrum(tower, budget_bits=15)
+
 
 class TestPrimePowerWitness:
     def test_example_base_two_four(self):
@@ -178,6 +203,25 @@ class TestPrimePowerWitness:
     def test_budget(self):
         with pytest.raises(FactorizationBudgetError):
             prime_power_order_witness(2, 2, 4, budget_bits=8)
+
+    def test_grid_matches_full_factorization_search(self):
+        # every k 2..12 and prime p < 100 with k**(p**s) - 1 within 96 bits
+        inputs = 0
+        for k, p in product(range(2, 13), primerange(2, 100)):
+            s = 1
+            while (k ** (p ** s) - 1).bit_length() <= 96:
+                w = prime_power_order_witness(k, p, s)
+                assert (w.q, w.r) == searched_order_witness(k, p, s), (k, p, s)
+                inputs += 1
+                s += 1
+        assert inputs == 216
+
+    def test_guard_applies_to_the_cyclotomic_quotient(self):
+        # 2**128 - 1 has 128 bits, but only Phi_128(2) = 2**64 + 1 (65 bits) is factorized
+        w = prime_power_order_witness(2, 2, 7)
+        assert (w.q, w.r) == (274177, 1)
+        with pytest.raises(FactorizationBudgetError):
+            prime_power_order_witness(2, 2, 7, budget_bits=64)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
