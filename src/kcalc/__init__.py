@@ -18,29 +18,22 @@ from .arith import (
     valuation,
 )
 from .abelian import (
-    Comparison,
     CyclicElement,
     CyclicHom,
-    LocallyConstantProjectionClass,
-    compare_projection_classes,
     quotient_localized_by_m,
-    refine_level,
     tensor_cyclic_with_localized,
 )
 from .colimit import (
     CuntzIdentification,
     CyclicColimit,
-    ColimitElement,
     DistinguishVerdict,
     Geometric,
     PrimePowerWitness,
     StageCongruenceError,
     distinguish_colimits,
-    element_order,
     identify_cuntz_k_theory,
     order_spectrum,
     prime_power_order_witness,
-    push,
 )
 from .odometer import (
     FiniteStageK0,
@@ -78,27 +71,20 @@ __all__ = [
     "is_prime",
     "multiplicative_order",
     "valuation",
-    "Comparison",
     "CyclicElement",
     "CyclicHom",
-    "LocallyConstantProjectionClass",
-    "compare_projection_classes",
     "quotient_localized_by_m",
-    "refine_level",
     "tensor_cyclic_with_localized",
     "CuntzIdentification",
     "CyclicColimit",
-    "ColimitElement",
     "DistinguishVerdict",
     "Geometric",
     "PrimePowerWitness",
     "StageCongruenceError",
     "distinguish_colimits",
-    "element_order",
     "identify_cuntz_k_theory",
     "order_spectrum",
     "prime_power_order_witness",
-    "push",
     "FiniteStageK0",
     "KernelCertificate",
     "LocallyConstantFn",

@@ -1,13 +1,14 @@
 """Cyclic groups, localized-integer groups and the maps between them.
 
-Groups are carried by their invariants (a modulus, or a denominator
-constraint), never by element sets: everything in scope is cyclic or a
-localization of Z.
+Elements of Z_m, multiplication maps between cyclic groups, the quotient
+of a localized group by an integer, and the tensor of Z_m with a localized
+group.  Groups are carried by their invariants (a modulus, or a
+denominator constraint), never by element sets: everything in scope is
+cyclic or a localization of Z.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,13 +20,8 @@ __all__ = [
     "CyclicHom",
     "LocalizedQuotient",
     "TensorReduction",
-    "Comparison",
-    "LevelMismatchError",
-    "LocallyConstantProjectionClass",
     "quotient_localized_by_m",
     "tensor_cyclic_with_localized",
-    "compare_projection_classes",
-    "refine_level",
 ]
 
 
@@ -59,13 +55,6 @@ class CyclicElement:
             return NotImplemented
         return self + (-other)
 
-    def scale(self, c: int) -> "CyclicElement":
-        return CyclicElement(self.modulus, self.residue * c)
-
-    def order(self) -> int:
-        """Order of the element: modulus / gcd(residue, modulus)."""
-        return self.modulus // math.gcd(self.residue, self.modulus)
-
 
 @dataclass(frozen=True)
 class CyclicHom:
@@ -88,24 +77,10 @@ class CyclicHom:
                 f"Z_{self.source_modulus} -> Z_{self.target_modulus}"
             )
 
-    @classmethod
-    def identity(cls, modulus: int) -> "CyclicHom":
-        return cls(modulus, modulus, 1)
-
     def __call__(self, e: CyclicElement) -> CyclicElement:
         if e.modulus != self.source_modulus:
             raise ValueError("element does not live in the source group")
         return CyclicElement(self.target_modulus, e.residue * self.multiplier)
-
-    def then(self, nxt: "CyclicHom") -> "CyclicHom":
-        """Composite self followed by nxt."""
-        if nxt.source_modulus != self.target_modulus:
-            raise ValueError("homomorphisms do not compose")
-        return CyclicHom(
-            self.source_modulus,
-            nxt.target_modulus,
-            self.multiplier * nxt.multiplier,
-        )
 
     def kernel_size(self) -> int:
         g = math.gcd(self.multiplier, self.target_modulus)
@@ -194,79 +169,4 @@ def tensor_cyclic_with_localized(m: int, s: SupernaturalNumber) -> TensorReducti
         modulus=bar,
         generator_image=CyclicElement(bar, 1),
         surjection=CyclicHom(m, bar, 1),
-    )
-
-
-class Comparison(enum.Enum):
-    EQUAL = "equal"
-    LESS_EQUAL = "<="
-    GREATER_EQUAL = ">="
-    INCOMPARABLE = "incomparable"
-
-
-class LevelMismatchError(ValueError):
-    """Comparison attempted at different levels; refine to a common level first."""
-
-
-@dataclass(frozen=True)
-class LocallyConstantProjectionClass:
-    """A level-n locally constant class of projections, recorded by its traces.
-
-    Entry j is the trace value at the residue j of the level-n cyclic
-    quotient.  Every trace is non-negative and its denominator is admitted by
-    ``constraint``, the supernatural number of the localized group the
-    traces live in.
-    """
-
-    level: int
-    constraint: SupernaturalNumber
-    traces: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.level < 1 or len(self.traces) != self.level:
-            raise ValueError("trace vector length must equal the level")
-        for t in self.traces:
-            if t < 0:
-                raise ValueError("projection traces must be non-negative")
-            if not self.constraint.admits(t.denominator):
-                raise ValueError(
-                    f"trace {t} violates constraint {self.constraint.describe()}"
-                )
-
-
-def compare_projection_classes(
-    f: LocallyConstantProjectionClass, g: LocallyConstantProjectionClass
-) -> Comparison:
-    """Pointwise comparison of trace vectors at a common level."""
-    if f.level != g.level:
-        raise LevelMismatchError(
-            f"levels {f.level} and {g.level} are incomparable representations"
-        )
-    if f.constraint != g.constraint:
-        raise ValueError("mixed denominator constraints")
-    le = all(a <= b for a, b in zip(f.traces, g.traces))
-    ge = all(a >= b for a, b in zip(f.traces, g.traces))
-    if le and ge:
-        return Comparison.EQUAL
-    if le:
-        return Comparison.LESS_EQUAL
-    if ge:
-        return Comparison.GREATER_EQUAL
-    return Comparison.INCOMPARABLE
-
-
-def refine_level(
-    f: LocallyConstantProjectionClass, finer_level: int
-) -> LocallyConstantProjectionClass:
-    """Re-express a level-n class at a finer level n' with n | n'.
-
-    The entry at x in Z_{n'} is the entry at x mod n, so comparisons are
-    invariant under common refinement.
-    """
-    if finer_level % f.level != 0:
-        raise ValueError(f"{f.level} does not divide {finer_level}")
-    return LocallyConstantProjectionClass(
-        finer_level,
-        f.constraint,
-        tuple(f.traces[x % f.level] for x in range(finer_level)),
     )

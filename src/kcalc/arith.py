@@ -21,7 +21,6 @@ __all__ = [
     "valuation",
     "factorize",
     "prime_factors",
-    "euler_phi",
     "multiplicative_order",
     "radical_divides",
 ]
@@ -181,14 +180,6 @@ def prime_factors(n: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> list[int
     return sorted(factorize(n, budget_bits=budget_bits))
 
 
-def euler_phi(n: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> int:
-    """Euler's totient of n >= 1."""
-    phi = 1
-    for p, e in factorize(n, budget_bits=budget_bits).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
 def multiplicative_order(k: int, modulus: int) -> int:
     """Least t >= 1 with k**t == 1 (mod modulus).
 
@@ -201,7 +192,9 @@ def multiplicative_order(k: int, modulus: int) -> int:
         return 1
     if math.gcd(k, modulus) != 1:
         raise ValueError(f"{k} is not a unit modulo {modulus}")
-    t = euler_phi(modulus)
+    t = 1  # Euler's totient of the modulus, a multiple of the order
+    for p, e in factorize(modulus).items():
+        t *= (p - 1) * p ** (e - 1)
     for p in prime_factors(t):
         while t % p == 0 and pow(k, t // p, modulus) == 1:
             t //= p
@@ -265,20 +258,9 @@ class KPowerRational:
     def times_int(self, c: int) -> "KPowerRational":
         return KPowerRational(self.base, self.numer * c, self.expo)
 
-    def times_base_power(self, e: int) -> "KPowerRational":
-        """Multiply by base**e; e may be negative."""
-        new = self.expo - e
-        if new >= 0:
-            return KPowerRational(self.base, self.numer, new)
-        return KPowerRational(self.base, self.numer * self.base ** (-new), 0)
-
     @property
     def is_zero(self) -> bool:
         return self.numer == 0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.expo == 0
 
     def _check_base(self, other: "KPowerRational") -> None:
         if self.base != other.base:
@@ -304,18 +286,6 @@ class KPowerRational:
         if not isinstance(other, KPowerRational):
             return NotImplemented
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.times_int(other)
-        if isinstance(other, KPowerRational):
-            self._check_base(other)
-            return KPowerRational(
-                self.base, self.numer * other.numer, self.expo + other.expo
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KPowerRational):

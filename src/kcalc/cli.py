@@ -218,6 +218,8 @@ def _cylinder_json(c) -> dict:
 
 def _cmd_groupoid(args) -> dict:
     t0 = time.perf_counter()
+    if args.sample < 0:
+        raise ValueError("--sample must be non-negative")
     spec = OdometerSpec(args.k, _parse_levels(args.levels))
     certificate = certify_no_isotropy(spec, args.max_disp)
     arrows = enumerate_arrows(args.k, certificate.level, args.depth, args.max_disp)

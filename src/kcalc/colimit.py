@@ -1,6 +1,6 @@
 """Inductive limits of cyclic groups and their isomorphism invariants.
 
-Element arithmetic in a colimit prefix, order computation, the order
+Colimit prefixes with their connecting maps and unit thread, the order
 spectrum, prime-power order witnesses, non-isomorphism tests for limits
 built from geometric level rules, and the pipeline identifying the
 UHF-tensored odometer tower with the K-theory of a Cuntz algebra.
@@ -27,15 +27,12 @@ if TYPE_CHECKING:
 __all__ = [
     "Geometric",
     "CyclicColimit",
-    "ColimitElement",
     "OrderBound",
     "PrimePowerWitness",
     "DistinguishVerdict",
     "StageCongruenceError",
     "IdentificationStage",
     "CuntzIdentification",
-    "push",
-    "element_order",
     "order_spectrum",
     "prime_power_order_witness",
     "distinguish_colimits",
@@ -101,52 +98,6 @@ class CyclicColimit:
             for i, h in enumerate(self.maps):
                 if h(self.unit_thread[i]) != self.unit_thread[i + 1]:
                     raise ValueError(f"unit thread breaks at stage {i + 1}")
-
-    @property
-    def stages(self) -> int:
-        return len(self.moduli)
-
-    def modulus_at(self, stage: int) -> int:
-        self._check_stage(stage)
-        return self.moduli[stage - 1]
-
-    def _check_stage(self, stage: int) -> None:
-        if not 1 <= stage <= self.stages:
-            raise ValueError(f"stage {stage} outside prefix 1..{self.stages}")
-
-    def element(self, stage: int, residue: int) -> "ColimitElement":
-        self._check_stage(stage)
-        return ColimitElement(stage, CyclicElement(self.moduli[stage - 1], residue))
-
-
-@dataclass(frozen=True)
-class ColimitElement:
-    """An element of the colimit, recorded at a stage of the prefix."""
-
-    stage: int
-    residue: CyclicElement
-
-
-def push(colimit: CyclicColimit, e: ColimitElement, stage: int) -> ColimitElement:
-    """Move an element to a later stage along the connecting maps.
-
-    Orders are preserved because every connecting map is injective.
-    """
-    colimit._check_stage(e.stage)
-    colimit._check_stage(stage)
-    if stage < e.stage:
-        raise ValueError("cannot push backwards")
-    if e.residue.modulus != colimit.moduli[e.stage - 1]:
-        raise ValueError("element does not live at its declared stage")
-    cur = e.residue
-    for i in range(e.stage - 1, stage - 1):
-        cur = colimit.maps[i](cur)
-    return ColimitElement(stage, cur)
-
-
-def element_order(e: ColimitElement) -> int:
-    """Order of the element in the colimit: m / gcd(residue, m) at its stage."""
-    return e.residue.order()
 
 
 @dataclass(frozen=True)

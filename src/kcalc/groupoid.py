@@ -32,7 +32,6 @@ __all__ = [
     "refine_arrow",
     "certify_no_isotropy",
     "product_with_af",
-    "compose_product_arrows",
 ]
 
 # Product arrows materialized by ``product_with_af``.
@@ -227,29 +226,18 @@ def refine_arrow(a: ArrowClass, k: int) -> list[ArrowClass]:
 def certify_no_isotropy(spec: OdometerSpec, max_displacement: int) -> "IsotropyCertificate":
     """Certificate that small nonzero displacements admit no isotropy arrows.
 
-    Finds the least stage whose level exceeds the displacement bound and
-    checks, exhaustively over residues, that adding any displacement
-    0 < |d| <= bound moves every residue.  At that vertex level (and any
-    finer one) an arrow class with source equal to target forces the level
-    to divide the displacement, so none exists in the certified range.
+    Finds the least stage whose level exceeds the displacement bound.  An
+    arrow class with source equal to target forces x + d == x (mod level),
+    that is, the level divides the displacement d.  At that vertex level
+    (and any finer one) no d with 0 < |d| <= bound < level is a multiple of
+    the level, so no isotropy arrow exists in the certified range.
     """
     if max_displacement < 0:
         raise ValueError("displacement bound must be non-negative")
     for stage, level in enumerate(spec.levels, start=1):
         if level > max_displacement:
-            checked = 0
-            for d in range(1, max_displacement + 1):
-                for x in range(level):
-                    if (x + d) % level == x or (x - d) % level == x:
-                        raise RuntimeError(
-                            f"displacement {d} fixes residue {x} at level {level}"
-                        )
-                    checked += 1
             return IsotropyCertificate(
-                stage=stage,
-                level=level,
-                max_displacement=max_displacement,
-                residues_checked=checked,
+                stage=stage, level=level, max_displacement=max_displacement
             )
     raise InsufficientPrefixError(
         f"no stored level exceeds the displacement bound {max_displacement}"
@@ -261,7 +249,6 @@ class IsotropyCertificate:
     stage: int
     level: int
     max_displacement: int
-    residues_checked: int
 
 
 @dataclass(frozen=True)
@@ -299,10 +286,3 @@ def product_with_af(arrows: Sequence[ArrowClass], block_size: int) -> AfProduct:
         block_size=block_size,
         samples=tuple(islice(cells, _AF_SAMPLES)),
     )
-
-
-def compose_product_arrows(first: ProductArrow, second: ProductArrow) -> ProductArrow:
-    """Componentwise composition; defined iff both components compose."""
-    if first.col != second.row:
-        raise ValueError("block coordinates do not match")
-    return ProductArrow(compose_arrows(first.arrow, second.arrow), first.row, second.col)

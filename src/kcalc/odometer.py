@@ -70,10 +70,6 @@ class OdometerSpec:
                 if self.rule.level(i) != n:
                     raise ValueError(f"stored level {n} at stage {i} does not match the rule")
 
-    @property
-    def stages(self) -> int:
-        return len(self.levels)
-
 
 @dataclass(frozen=True)
 class LocallyConstantFn:
@@ -93,10 +89,6 @@ class LocallyConstantFn:
     @property
     def level(self) -> int:
         return len(self.values)
-
-    @classmethod
-    def from_integers(cls, k: int, values) -> "LocallyConstantFn":
-        return cls(k, tuple(KPowerRational(k, int(v)) for v in values))
 
     @classmethod
     def from_fractions(cls, k: int, values) -> "LocallyConstantFn":
@@ -155,10 +147,8 @@ def pv_endomorphism(f: LocallyConstantFn) -> LocallyConstantFn:
     automorphism (trace scaling composed with the odometer), as delivered by
     the Pimsner-Voiculescu sequence.
     """
-    n = f.level
-    shifted = (f.values[(x - 1) % n] for x in range(n))
     return LocallyConstantFn(
-        f.k, tuple(KPowerRational(f.k, v.numer, v.expo + 1) for v in shifted)
+        f.k, tuple(KPowerRational(f.k, v.numer, v.expo + 1) for v in translate(f).values)
     )
 
 

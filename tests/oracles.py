@@ -115,14 +115,20 @@ def pair_scan_arrows(k: int, level: int, depth: int, max_disp: int) -> set[tuple
     return found
 
 
-def naive_order_in_cyclic(residue: int, modulus: int) -> int:
-    """Order of a residue by direct iteration."""
-    current = residue % modulus
-    order = 1
-    while current != 0:
-        current = (current + residue) % modulus
-        order += 1
-    return order
+def residue_scan_isotropy(levels: tuple[int, ...], bound: int) -> tuple[int, int] | None:
+    """(stage, level) of the first level where no 0 < |d| <= bound fixes a residue.
+
+    Checks every displacement against every residue; None when each stored
+    level has some residue fixed by some displacement in range.
+    """
+    for stage, level in enumerate(levels, start=1):
+        if all(
+            (x + d) % level != x and (x - d) % level != x
+            for d in range(1, bound + 1)
+            for x in range(level)
+        ):
+            return stage, level
+    return None
 
 
 def naive_multiplicative_order(k: int, modulus: int) -> int:

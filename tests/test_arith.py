@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import totient
 
 from kcalc.arith import (
     FactorizationBudgetError,
     KPowerRational,
     SupernaturalNumber,
-    euler_phi,
     factorize,
     is_prime,
     multiplicative_order,
@@ -66,7 +66,7 @@ class TestKPowerRational:
         y = KPowerRational(base, b, eb)
         back = (x + y) - y
         assert back == x
-        for v in (x, y, x + y, x * y, back):
+        for v in (x, y, x + y, back):
             assert v.expo == 0 or v.numer % base != 0
             assert v.as_fraction() == Fraction(v.numer, base ** v.expo)
 
@@ -82,14 +82,7 @@ class TestKPowerRational:
         y = KPowerRational(base, b, eb)
         assert (x + y).as_fraction() == x.as_fraction() + y.as_fraction()
         assert (x - y).as_fraction() == x.as_fraction() - y.as_fraction()
-        assert (x * y).as_fraction() == x.as_fraction() * y.as_fraction()
         assert (-x).as_fraction() == -x.as_fraction()
-
-    def test_times_base_power(self):
-        v = KPowerRational(2, 3, 2)
-        assert v.times_base_power(2).as_fraction() == Fraction(3)
-        assert v.times_base_power(-1).as_fraction() == Fraction(3, 8)
-        assert v.times_base_power(4).as_fraction() == Fraction(12)
 
 
 class TestValuation:
@@ -175,7 +168,7 @@ class TestMultiplicativeOrder:
             pytest.skip("not a unit")
         t = multiplicative_order(k, q_r)
         assert t == naive_multiplicative_order(k, q_r)
-        assert euler_phi(q_r) % t == 0
+        assert totient(q_r) % t == 0
 
 
 class TestSupernatural:

@@ -205,6 +205,17 @@ class TestGroupoidCommand:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("sample", ["-1", "-7"])
+    def test_negative_sample_exits_2(self, capsys, sample):
+        code, out, err = run_cli(
+            capsys,
+            "groupoid", "--k", "2", "--levels", "1,2,4",
+            "--depth", "3", "--max-disp", "2", "--sample", sample,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --sample must be non-negative\n"
+
 
 class TestReportPlumbing:
     def test_json_round_trip_all_commands(self, capsys):

@@ -1,7 +1,6 @@
-"""Tests for colimit elements, order invariants, witnesses and the pipeline."""
+"""Tests for colimit prefixes, order invariants, witnesses and the pipeline."""
 
 from itertools import product
-from random import Random
 
 import pytest
 from sympy import factorint, primerange
@@ -12,14 +11,12 @@ from kcalc.colimit import (
     CyclicColimit,
     Geometric,
     distinguish_colimits,
-    element_order,
     identify_cuntz_k_theory,
     order_spectrum,
     prime_power_order_witness,
-    push,
 )
 from kcalc.odometer import OdometerSpec, k0_odometer
-from oracles import lte_supremum, naive_order_in_cyclic, searched_order_witness
+from oracles import lte_supremum, searched_order_witness
 
 
 def binary_tower(levels=(1, 2, 4), rule=None):
@@ -42,44 +39,6 @@ class TestColimitStructure:
                 maps=(CyclicHom(3, 15, 5),),
                 unit_thread=(CyclicElement(3, 1), CyclicElement(15, 6)),
             )
-
-
-class TestPushAndOrder:
-    def test_push_same_stage_is_identity(self):
-        c = binary_tower()
-        e = c.element(2, 1)
-        assert push(c, e, 2) == e
-
-    def test_push_example(self):
-        c = binary_tower()
-        e = c.element(2, 1)
-        assert push(c, e, 3).residue == CyclicElement(15, 5)
-
-    def test_push_out_of_range(self):
-        c = binary_tower()
-        with pytest.raises(ValueError):
-            push(c, c.element(1, 0), 4)
-        with pytest.raises(ValueError):
-            push(c, c.element(2, 1), 1)
-
-    def test_order_examples(self):
-        c = binary_tower()
-        assert element_order(c.element(3, 0)) == 1
-        assert element_order(c.element(3, 5)) == 3
-        assert element_order(c.element(3, 1)) == 15
-
-    def test_order_matches_naive_and_survives_push(self):
-        rng = Random(1)
-        tower = k0_odometer(OdometerSpec(3, (1, 2, 4, 8))).k0
-        for _ in range(500):
-            stage = rng.randint(1, tower.stages)
-            residue = rng.randrange(tower.moduli[stage - 1])
-            e = tower.element(stage, residue)
-            order = element_order(e)
-            if residue:
-                assert order == naive_order_in_cyclic(residue, tower.moduli[stage - 1])
-            for later in range(stage, tower.stages + 1):
-                assert element_order(push(tower, e, later)) == order
 
 
 class TestOrderSpectrum:

@@ -9,7 +9,6 @@ from kcalc.groupoid import (
     ResolutionExhaustedError,
     certify_no_isotropy,
     compose_arrows,
-    compose_product_arrows,
     cylinders_comparable,
     enumerate_arrows,
     invert_arrow,
@@ -17,7 +16,7 @@ from kcalc.groupoid import (
     refine_arrow,
 )
 from kcalc.odometer import OdometerSpec
-from oracles import pair_scan_arrows
+from oracles import pair_scan_arrows, residue_scan_isotropy
 
 
 def arrow_key(a: ArrowClass):
@@ -177,6 +176,29 @@ class TestIsotropyCertificate:
         with pytest.raises(InsufficientPrefixError):
             certify_no_isotropy(OdometerSpec(2, (1, 2)), 3)
 
+    def test_matches_residue_scan(self):
+        # every divisibility chain of at most three levels in 1..24
+        chains = [(n,) for n in range(1, 25)]
+        for chain in chains:
+            if len(chain) < 3:
+                chains += [chain + (n,) for n in range(2 * chain[-1], 25, chain[-1])]
+        refused = 0
+        for levels in chains:
+            spec = OdometerSpec(2, levels)
+            for bound in range(25):
+                expected = residue_scan_isotropy(levels, bound)
+                if expected is None:
+                    refused += 1
+                    with pytest.raises(InsufficientPrefixError):
+                        certify_no_isotropy(spec, bound)
+                    continue
+                cert = certify_no_isotropy(spec, bound)
+                assert (cert.stage, cert.level, cert.max_displacement) == (
+                    *expected,
+                    bound,
+                )
+        assert len(chains) == 143 and refused == 1360
+
     def test_consistent_with_exhaustive_search(self):
         spec = OdometerSpec(2, (1, 2, 4))
         bound = 2
@@ -214,16 +236,3 @@ class TestAfProduct:
         assert af.count == 10**24
         assert af.samples == tuple(ProductArrow(a, 0, c) for c in range(10))
         assert product_with_af([], 10**12).samples == ()
-
-    def test_componentwise_composition(self):
-        from kcalc.groupoid import ProductArrow
-
-        src = Cylinder(2, 0, (1, 2))
-        a = ArrowClass(source=src, target=src, m=0, n=0)
-        assert product_with_af([a], 3).samples[1] == ProductArrow(a, 0, 1)
-        left = ProductArrow(a, 0, 1)
-        right = ProductArrow(a, 1, 2)
-        combined = compose_product_arrows(left, right)
-        assert (combined.row, combined.col) == (0, 2)
-        with pytest.raises(ValueError):
-            compose_product_arrows(left, ProductArrow(a, 2, 0))

@@ -85,7 +85,7 @@ class TestOperatorProperties:
 class TestOdometerSpec:
     def test_valid_chain(self):
         spec = OdometerSpec(2, (1, 2, 4, 8))
-        assert spec.stages == 4
+        assert len(spec.levels) == 4
 
     def test_rejects_non_divisible(self):
         with pytest.raises(ValueError):
@@ -108,7 +108,7 @@ class TestTranslate:
         )
 
     def test_constant_fixed(self):
-        c = LocallyConstantFn.from_integers(3, [7, 7, 7, 7])
+        c = LocallyConstantFn.from_fractions(3, [7, 7, 7, 7])
         assert translate(c) == c
 
     def test_full_cycle_is_identity(self):
@@ -231,11 +231,11 @@ class TestMembership:
     def test_level_one_image_is_multiples_of_k_minus_one(self):
         # at level 1 the operator is multiplication by (k-1)/k, so the image
         # is (k-1) Z[1/k]; for k=2 that is everything
-        assert membership_psi(LocallyConstantFn.from_integers(2, [7]))
-        assert membership_series(LocallyConstantFn.from_integers(2, [7])).member
+        assert membership_psi(LocallyConstantFn.from_fractions(2, [7]))
+        assert membership_series(LocallyConstantFn.from_fractions(2, [7])).member
         for k in (3, 5):
-            member = LocallyConstantFn.from_integers(k, [k - 1])
-            non_member = LocallyConstantFn.from_integers(k, [1])
+            member = LocallyConstantFn.from_fractions(k, [k - 1])
+            non_member = LocallyConstantFn.from_fractions(k, [1])
             assert membership_psi(member) and membership_series(member).member
             assert not membership_psi(non_member)
             assert not membership_series(non_member).member
@@ -280,7 +280,7 @@ class TestFiniteStage:
     def test_unit_class_is_psi_of_constant_one(self):
         for k in (2, 3, 4, 6):
             for n in (1, 2, 3, 4):
-                ones = LocallyConstantFn.from_integers(k, [1] * n)
+                ones = LocallyConstantFn.from_fractions(k, [1] * n)
                 assert psi(ones) == finite_stage_k0(k, n).unit_class
 
 
@@ -306,8 +306,15 @@ class TestConnectingMap:
     def test_functorial(self):
         for k in (2, 3, 5):
             for a, b, c in ((1, 2, 4), (1, 3, 6), (2, 4, 8), (1, 2, 8)):
-                assert connecting_map(k, a, b).then(connecting_map(k, b, c)) == (
-                    connecting_map(k, a, c)
+                first, second = connecting_map(k, a, b), connecting_map(k, b, c)
+                composite = connecting_map(k, a, c)
+                assert (first.source_modulus, second.target_modulus) == (
+                    composite.source_modulus,
+                    composite.target_modulus,
+                )
+                assert (
+                    first.multiplier * second.multiplier % composite.target_modulus
+                    == composite.multiplier
                 )
 
     def test_maps_unit_to_unit(self):
