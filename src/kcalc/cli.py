@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .arith import DEFAULT_BUDGET_BITS, FactorizationBudgetError
@@ -65,6 +66,41 @@ def _spec_from_args(args) -> OdometerSpec:
     raise ValueError("one of --levels or --rule is required")
 
 
+@lru_cache(maxsize=1)
+def _digit_ceiling(limit: int) -> int:
+    """10**limit, the least integer with limit + 1 digits (about 0.1 ms to form)."""
+    return 10 ** limit
+
+
+def _refuse_unprintable(k: int, n: int, offset: int) -> None:
+    """Refuse k**n - offset (offset 0 or 1) when it prints with too many digits.
+
+    Python prints an integer of at most ``sys.get_int_max_str_digits()``
+    digits.  A bit-length bound settles every case but a narrow band near
+    that limit, so k**n is formed only when it is about as long as the limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        return
+    ceiling = _digit_ceiling(limit)
+    bits = ceiling.bit_length()  # 2**(bits - 1) <= ceiling < 2**bits
+    b = k.bit_length()  # 2**(b - 1) <= k < 2**b
+    if n * b < bits:
+        return
+    if n * (b - 1) >= bits or k ** n - offset >= ceiling:
+        raise ValueError(
+            f"{k}^{n}{' - 1' if offset else ''} has more than {limit} digits,"
+            " more than a report can print; use a smaller k or level"
+        )
+
+
+def _too_long() -> ValueError:
+    return ValueError(
+        f"the report holds an integer of more than {sys.get_int_max_str_digits()}"
+        " digits, more than it can print"
+    )
+
+
 def _report(command: str, inputs: dict, results: dict, citations: list[str], t0: float) -> dict:
     return {
         "schema": SCHEMA,
@@ -79,6 +115,7 @@ def _report(command: str, inputs: dict, results: dict, citations: list[str], t0:
 def _cmd_k0(args) -> dict:
     t0 = time.perf_counter()
     spec = _spec_from_args(args)
+    _refuse_unprintable(spec.k, spec.levels[-1], 0)  # the kernel pivot's denominator
     result = k0_odometer(spec)
     moduli = result.k0.moduli
     results = {
@@ -105,6 +142,9 @@ def _cmd_k0(args) -> dict:
 
 def _cmd_ok(args) -> dict:
     t0 = time.perf_counter()
+    top = max(args.depth - 1, 0)
+    _refuse_unprintable(args.k, top, 0)  # the last level, k**(depth - 1)
+    _refuse_unprintable(args.k, args.k ** top, 1)  # its modulus
     outcome = identify_cuntz_k_theory(args.k, args.depth, budget_bits=args.budget_bits)
     k0_desc = "0" if outcome.k0_order == 1 else f"Z_{outcome.k0_order}"
     results = {
@@ -134,6 +174,7 @@ def _cmd_ok(args) -> dict:
 
 def _cmd_membership(args) -> dict:
     t0 = time.perf_counter()
+    _refuse_unprintable(args.k, args.n, 1)
     try:
         fractions = [Fraction(part) for part in args.values.split(",")]
     except (ValueError, ZeroDivisionError):
@@ -142,18 +183,21 @@ def _cmd_membership(args) -> dict:
         raise ValueError(f"expected {args.n} values, got {len(fractions)}")
     f = LocallyConstantFn.from_fractions(args.k, fractions)
     residue = psi(f)
-    by_psi = membership_psi(f)
     by_series = membership_series(f)
+    try:
+        witness = (
+            None
+            if by_series.witness is None
+            else [str(v.as_fraction()) for v in by_series.witness.values]
+        )
+    except ValueError:  # a witness value longer than the input values
+        raise _too_long() from None
     results = {
         "psi_residue": residue.residue,
         "psi_modulus": residue.modulus,
-        "member_by_psi": by_psi,
+        "member_by_psi": residue.residue == 0,
         "member_by_series": by_series.member,
-        "witness": (
-            [str(v.as_fraction()) for v in by_series.witness.values]
-            if by_series.witness is not None
-            else None
-        ),
+        "witness": witness,
     }
     return _report(
         "membership",
@@ -330,20 +374,26 @@ def _cmd_selftest(args) -> dict:
     return _report("selftest", {"seed": args.seed}, results, ["library self checks"], t0)
 
 
+def _render(report: dict, table: bool) -> str:
+    if not table:
+        return json.dumps(report, indent=2)
+    lines = [f"{'command':<12} {report['command']}"]
+    for key, value in report["inputs"].items():
+        lines.append(f"{key:<12} {value}")
+    lines.append("-" * 40)
+    for key, value in report["results"].items():
+        lines.append(f"{key:<28} {value}")
+    lines.append("-" * 40)
+    for cite in report["citations"]:
+        lines.append(f"  [{cite}]")
+    return "\n".join(lines)
+
+
 def _emit(report: dict, args) -> None:
-    if getattr(args, "table", False):
-        lines = [f"{'command':<12} {report['command']}"]
-        for key, value in report["inputs"].items():
-            lines.append(f"{key:<12} {value}")
-        lines.append("-" * 40)
-        for key, value in report["results"].items():
-            lines.append(f"{key:<28} {value}")
-        lines.append("-" * 40)
-        for cite in report["citations"]:
-            lines.append(f"  [{cite}]")
-        text = "\n".join(lines)
-    else:
-        text = json.dumps(report, indent=2)
+    try:
+        text = _render(report, getattr(args, "table", False))
+    except ValueError:  # an int longer than sys.get_int_max_str_digits()
+        raise _too_long() from None
     # Write the file first, so that an unwritable --out prints no report.
     out = getattr(args, "out", None)
     if out:
@@ -375,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("k0", help="inductive-limit K-theory of an odometer tower")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--levels", help="comma-separated divisibility chain, e.g. 1,2,4")
-    p.add_argument("--rule", help="geometric rule 'c,r' or 'geometric:c,r'")
+    tower = p.add_mutually_exclusive_group()
+    tower.add_argument("--levels", help="comma-separated divisibility chain, e.g. 1,2,4")
+    tower.add_argument("--rule", help="geometric rule 'c,r' or 'geometric:c,r'")
     p.add_argument("--stages", type=int, default=4, help="stages to expand a rule to")
     common(p)
     p.set_defaults(handler=_cmd_k0)

@@ -8,17 +8,23 @@ for the image of id - (1/k)T, exact kernel certificates, the finite-stage
 K_0 data with its connecting maps, and the assembly of the whole tower into
 an inductive limit of cyclic groups.  Finite-level checks of the Hilbert
 module identities behind the path-space picture live here too.
+
+Both membership criteria cost O(n) big-integer steps at level n.  psi is
+one Horner pass over the numerators of f, lifted to their common power of
+k, then one inverse of that power modulo k**n - 1.  The series criterion
+takes g(0) in closed form by the same kind of Horner pass and every later
+value by the recurrence g(x) = f(x) + g(x - 1) / k.  The two share no
+result: the series never calls psi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 
-from .abelian import CyclicElement, CyclicHom, LocalizedQuotient, quotient_localized_by_m
-from .arith import KPowerRational, SupernaturalNumber
+from .abelian import CyclicElement, CyclicHom
+from .arith import KPowerRational
 from .colimit import CyclicColimit, Geometric
 
 __all__ = [
@@ -152,23 +158,29 @@ def pv_endomorphism(f: LocallyConstantFn) -> LocallyConstantFn:
     )
 
 
-@lru_cache(maxsize=None)
-def _level_quotient(k: int, n: int) -> LocalizedQuotient:
-    return quotient_localized_by_m(SupernaturalNumber.infinite_powers_of(k), k ** n - 1)
+def _numerators(f: LocallyConstantFn) -> tuple[list[int], int]:
+    """Integers a_x and the exponent e with f(x) = a_x / k**e for every x."""
+    k, e = f.k, max(v.expo for v in f.values)
+    return [v.numer * k ** (e - v.expo) for v in f.values], e
 
 
 def psi(f: LocallyConstantFn) -> CyclicElement:
     """Collapse a level-n function to Z_{k**n - 1}.
 
-    Computes sum_j k**j f(j) in Z[1/k] and reduces it modulo k**n - 1 via the
-    localized quotient (k is invertible there since gcd(k, k**n - 1) = 1).
-    The result vanishes exactly on the image of id - (1/k)T.
+    Computes sum_j k**j f(j) in Z[1/k] and reduces it modulo k**n - 1 (k is
+    invertible there since gcd(k, k**n - 1) = 1).  With f(j) = a_j / k**e
+    over the common exponent e, the sum is one integer Horner pass over the
+    numerators a_j, multiplied by the inverse of k**e modulo k**n - 1: n
+    big-integer steps.  The result vanishes exactly on the image of
+    id - (1/k)T.
     """
     k, n = f.k, f.level
-    acc = KPowerRational.zero(k)
-    for j in range(n - 1, -1, -1):
-        acc = acc.times_int(k) + f.values[j]
-    return _level_quotient(k, n).reduce(acc.as_fraction())
+    numerators, e = _numerators(f)
+    acc = 0
+    for a in reversed(numerators):
+        acc = acc * k + a
+    modulus = k ** n - 1
+    return CyclicElement(modulus, acc * pow(k, -e, modulus))
 
 
 def membership_psi(f: LocallyConstantFn) -> bool:
@@ -186,21 +198,26 @@ def membership_series(f: LocallyConstantFn) -> SeriesMembership:
     """Image membership for id - (1/k)T, decided by the geometric series.
 
     The candidate preimage is g(x) = sum_{i>=0} k**-i f(x - i); because
-    f(x - i) is periodic in i with period n, the series has the closed form
+    f(x - i) is periodic in i with period n, g(0) has the closed form
 
-        g(x) = (k**n / (k**n - 1)) * sum_{j=0}^{n-1} k**-j f(x - j),
+        g(0) = (k**n / (k**n - 1)) * sum_{j=0}^{n-1} k**-j f(-j),
 
-    evaluated in exact rational arithmetic.  f lies in the image iff every
-    g(x) lies in Z[1/k]; the witness then satisfies (id - (1/k)T) g = f
-    exactly.
+    taken by one integer Horner pass over the numerators of f, and the rest
+    follows from the one-step recurrence g(x) = f(x) + g(x - 1) / k, all in
+    exact rational arithmetic: O(n) steps in all.  f lies in the image iff
+    every g(x) lies in Z[1/k]; the witness then satisfies
+    (id - (1/k)T) g = f exactly.
     """
     k, n = f.k, f.level
-    scale = Fraction(k ** n, k ** n - 1)
-    values = [v.as_fraction() for v in f.values]
-    g_values = []
-    for x in range(n):
-        s = sum(Fraction(values[(x - j) % n], k ** j) for j in range(n))
-        g_values.append(scale * s)
+    numerators, e = _numerators(f)
+    s = 0
+    for j in range(n):
+        s = s * k + numerators[-j % n]
+    # s = k**(n - 1 + e) * sum_{j=0}^{n-1} k**-j f(-j)
+    unit = k ** e
+    g_values = [Fraction(k * s, (k ** n - 1) * unit)]
+    for x in range(1, n):
+        g_values.append(Fraction(numerators[x], unit) + g_values[-1] / k)
     if not all(KPowerRational.fraction_in_ring(v, k) for v in g_values):
         return SeriesMembership(False, None)
     g = LocallyConstantFn.from_fractions(k, g_values)

@@ -208,3 +208,45 @@ def lte_supremum(k: int, first: int, ratio: int, q: int) -> int | None:
     if r % q == 0:
         return None
     return v(k ** d - 1, q) + v(c, q) - v(d, q)
+
+
+def kpower_horner_psi(f):
+    """psi by a Horner pass in Z[1/k], reduced through the localized quotient.
+
+    Each step multiplies a ``KPowerRational`` by k and adds the next value;
+    the exact sum is then reduced modulo k**n - 1 as a rational.
+    """
+    from kcalc.abelian import quotient_localized_by_m
+    from kcalc.arith import KPowerRational, SupernaturalNumber
+
+    k, n = f.k, f.level
+    acc = KPowerRational.zero(k)
+    for j in range(n - 1, -1, -1):
+        acc = acc.times_int(k) + f.values[j]
+    quotient = quotient_localized_by_m(SupernaturalNumber.infinite_powers_of(k), k ** n - 1)
+    return quotient.reduce(acc.as_fraction())
+
+
+def double_sum_membership_series(f):
+    """Series membership with each g(x) summed over all n shifts: O(n**2) steps.
+
+    g(x) = (k**n / (k**n - 1)) * sum_{j=0}^{n-1} k**-j f(x - j) for every x,
+    in exact rational arithmetic.
+    """
+    from kcalc.arith import KPowerRational
+    from kcalc.odometer import LocallyConstantFn, SeriesMembership, pv_endomorphism
+
+    k, n = f.k, f.level
+    scale = Fraction(k ** n, k ** n - 1)
+    values = [v.as_fraction() for v in f.values]
+    g_values = []
+    for x in range(n):
+        s = sum(Fraction(values[(x - j) % n], k ** j) for j in range(n))
+        g_values.append(scale * s)
+    if not all(KPowerRational.fraction_in_ring(v, k) for v in g_values):
+        return SeriesMembership(False, None)
+    g = LocallyConstantFn.from_fractions(k, g_values)
+    recovered = g - pv_endomorphism(g)
+    if recovered != f:
+        raise RuntimeError("series witness failed to reproduce the input exactly")
+    return SeriesMembership(True, g)

@@ -1,10 +1,14 @@
 """Tests for the command-line interface: reports, round-trips, exit codes."""
 
 import json
+import math
+from fractions import Fraction
+from random import Random
+from time import perf_counter
 
 import pytest
 
-from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _refuse_unprintable, main
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +57,12 @@ class TestK0Command:
     def test_malformed_level_list_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "k0", "--k", "2", "--levels", "1,two")
         assert code == EXIT_USAGE
+
+    def test_levels_and_rule_together_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "k0", "--k", "2", "--levels", "1,2", "--rule", "1,3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "not allowed with" in err
 
 
 class TestOkCommand:
@@ -107,10 +117,88 @@ class TestMembershipCommand:
         assert separate == joined
         assert separate["results"]["member_by_psi"]
 
+    def test_level_4000_answers_in_linear_time(self, capsys):
+        # a quadratic series takes minutes at this level
+        rng = Random(4000)
+        n = 4000
+        g = [Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 2)) for _ in range(n)]
+        f = [g[x] - g[x - 1] / 2 for x in range(n)]
+        start = perf_counter()
+        report = run_json(
+            capsys, "membership", "--k", "2", "--n", str(n), "--values=" + ",".join(map(str, f))
+        )
+        assert perf_counter() - start < 2.0
+        assert report["results"]["member_by_psi"] and report["results"]["member_by_series"]
+        assert report["results"]["witness"] == [str(v) for v in g]
+
     def test_foreign_value_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "membership", "--k", "2", "--n", "1", "--values", "1/3")
         assert code == EXIT_USAGE
         assert "Z[1/2]" in err
+
+
+def zeros(n: int) -> str:
+    return "--values=" + ",".join(["0"] * n)
+
+
+class TestOversizeReports:
+    """Reports that would print an integer of more than 4300 digits exit 2 up front."""
+
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "more than 4300 digits" in err
+        assert "set_int_max_str_digits" not in err
+        return err
+
+    def test_membership_boundary(self, capsys):
+        report = run_json(capsys, "membership", "--k", "10", "--n", "4300", zeros(4300))
+        assert report["results"]["psi_modulus"] == 10 ** 4300 - 1
+        err = self.assert_refused(capsys, "membership", "--k", "10", "--n", "4301", zeros(4301))
+        assert "10^4301 - 1" in err
+
+    def test_k0_boundary(self, capsys):
+        report = run_json(capsys, "k0", "--k", "10", "--levels", "4299")
+        assert report["results"]["kernel_pivots"] == [f"{10 ** 4299 - 1}/{10 ** 4299}"]
+        err = self.assert_refused(capsys, "k0", "--k", "10", "--levels", "4300")
+        assert "10^4300 " in err
+        self.assert_refused(capsys, "k0", "--k", "2", "--rule", "1,2", "--stages", "15")
+
+    def test_ok_boundary(self, capsys):
+        report = run_json(capsys, "ok", "--k", "10", "--depth", "4")
+        assert report["results"]["moduli"][-1] == 10 ** 1000 - 1
+        self.assert_refused(capsys, "ok", "--k", "10", "--depth", "5")
+
+    def test_ok_refused_before_the_modulus_is_formed(self, capsys):
+        # the last modulus, 1000**(10**9) - 1, has about 10**10 bits
+        start = perf_counter()
+        self.assert_refused(capsys, "ok", "--k", "1000", "--depth", "4")
+        assert perf_counter() - start < 1.0
+
+    def test_bit_bounds_agree_with_the_exact_comparison(self):
+        ceiling = 10 ** 4300
+        for k in range(2, 70):
+            edge = int(4300 / math.log10(k))
+            for n in range(edge - 3, edge + 4):
+                for offset in (0, 1):
+                    try:
+                        _refuse_unprintable(k, n, offset)
+                        refused = False
+                    except ValueError:
+                        refused = True
+                    assert refused is (k ** n - offset >= ceiling), (k, n, offset)
+
+    def test_long_witness_value_exits_2(self, capsys):
+        # g = 2 f at k = 2, n = 1, one digit longer than the 4300-digit input
+        self.assert_refused(capsys, "membership", "--k", "2", "--n", "1", "--values", "9" * 4300)
+
+    def test_long_product_count_exits_2(self, capsys):
+        argv = ("groupoid", "--k", "2", "--levels", "1,2,4", "--depth", "1", "--max-disp", "0")
+        block = str(10 ** 2200)
+        self.assert_refused(capsys, *argv, "--af-block", block)
+        self.assert_refused(capsys, *argv, "--af-block", block, "--table")
 
 
 class TestDistinguishCommand:

@@ -25,7 +25,12 @@ from kcalc.odometer import (
     translate,
 )
 from kcalc.colimit import Geometric
-from oracles import dense_kernel_is_trivial, eliminated_kernel_pivot
+from oracles import (
+    dense_kernel_is_trivial,
+    double_sum_membership_series,
+    eliminated_kernel_pivot,
+    kpower_horner_psi,
+)
 
 
 def random_fn(rng, k, n, span=20, max_expo=4):
@@ -239,6 +244,51 @@ class TestMembership:
             assert membership_psi(member) and membership_series(member).member
             assert not membership_psi(non_member)
             assert not membership_series(non_member).member
+
+
+def small_exhaustive_fns():
+    """Every level 1..4 function at k = 2, 3 over {0, 1, -1, 1/k, -1/k}."""
+    for k in (2, 3):
+        choices = (
+            KPowerRational.zero(k),
+            KPowerRational.one(k),
+            -KPowerRational.one(k),
+            KPowerRational(k, 1, 1),
+            KPowerRational(k, -1, 1),
+        )
+        for n in range(1, 5):
+            for combo in product(choices, repeat=n):
+                yield LocallyConstantFn(k, combo)
+
+
+def assert_matches_oracles(f):
+    fast = membership_series(f)
+    assert fast == double_sum_membership_series(f)
+    assert psi(f) == kpower_horner_psi(f)
+    assert membership_psi(f) == fast.member
+    return fast
+
+
+class TestFastPathsMatchOracles:
+    def test_grid_matches_both_oracles(self):
+        rng = Random(2718)
+        for k in range(2, 11):
+            for n in range(1, 41):
+                g = random_fn(rng, k, n, max_expo=3)
+                image = g - pv_endomorphism(g)
+                result = assert_matches_oracles(image)
+                assert result.member and result.witness == g
+                bump = LocallyConstantFn.delta(k, n, rng.randrange(n))
+                perturbed = image + bump if rng.random() < 0.5 else image - bump
+                # psi(+-delta_j) = +-k**j, a unit of Z_{k**n - 1}
+                assert assert_matches_oracles(perturbed).member is (k ** n == 2)
+        for f in small_exhaustive_fns():
+            assert_matches_oracles(f)
+
+    @given(level_fns(max_level=16))
+    @settings(max_examples=200)
+    def test_random_vectors_match_both_oracles(self, f):
+        assert_matches_oracles(f)
 
 
 class TestKernel:
