@@ -1,9 +1,9 @@
 """Exact arithmetic foundation.
 
 Elements of Z[1/k] (integers with a distinguished inverted base),
-supernatural numbers, p-adic valuations, integer factorization and
-multiplicative orders.  Everything
-here is integer-exact; the library never touches floating point.
+supernatural numbers, p-adic valuations, integer factorization (small
+primes, then Brent rho, behind a size guard) and multiplicative orders.
+Everything here is integer-exact; the library never touches floating point.
 """
 
 from __future__ import annotations
@@ -27,16 +27,12 @@ __all__ = [
 
 DEFAULT_BUDGET_BITS = 96
 
-_TRIAL_LIMIT = 10 ** 6
-
 # Miller-Rabin witnesses; this set is deterministic for n < 3.3e24.  Larger
 # inputs (still capped by the factorization size guard) reuse the same bases
 # plus a fixed tail, so the test stays deterministic for a given input.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_TAIL = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
 class FactorizationBudgetError(Exception):
@@ -144,9 +140,10 @@ def _factor_into(n: int, powers: dict[int, int]) -> None:
 def factorize(n: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> dict[int, int]:
     """Prime factorization of n >= 1 as a map prime -> multiplicity.
 
-    Trial division (2-3-5 wheel) up to 10**6, then deterministic-seeded
-    Brent rho on the remaining cofactor.  Inputs above 2**budget_bits raise
-    FactorizationBudgetError.
+    Divides out the small primes 2..37 (the Miller-Rabin bases, which
+    is_prime also divides by), then splits the cofactor by deterministic-
+    seeded Brent rho until is_prime accepts every part.  Inputs above
+    2**budget_bits raise FactorizationBudgetError.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -156,22 +153,11 @@ def factorize(n: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> dict[int, in
             f"guard is {budget_bits} bits"
         )
     powers: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _MR_BASES:
         while n % p == 0:
             powers[p] = powers.get(p, 0) + 1
             n //= p
-    p, i = 7, 0
-    while p <= _TRIAL_LIMIT and p * p <= n:
-        while n % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            n //= p
-        p += _WHEEL[i]
-        i = (i + 1) % 8
-    if n > 1:
-        if p * p > n:
-            powers[n] = powers.get(n, 0) + 1
-        else:
-            _factor_into(n, powers)
+    _factor_into(n, powers)
     return powers
 
 

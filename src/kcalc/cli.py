@@ -2,8 +2,9 @@
 
 Subcommands: k0, ok, membership, distinguish, witness, groupoid, selftest.
 Exit codes: 0 success, 2 usage or precondition violation, 3 factorization
-budget exhausted.  Reports are deterministic for fixed inputs and seed
-(apart from the timing field) and carry the schema tag "kcalc/1".
+budget exhausted.  Reports are deterministic for fixed inputs (apart from
+the timing field; ``--seed`` matters only to selftest) and carry the schema
+tag "kcalc/1".
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ def _parse_levels(text: str) -> tuple[int, ...]:
 
 def _parse_rule(text: str) -> Geometric:
     body = text.split(":", 1)[1] if text.startswith("geometric:") else text
-    parts = body.split(",")
-    if len(parts) != 2:
+    try:
+        first, ratio = (int(part) for part in body.split(","))
+    except ValueError:
         raise ValueError(f"malformed geometric rule: {text!r} (expected 'c,r')")
-    return Geometric(int(parts[0]), int(parts[1]))
+    return Geometric(first, ratio)
 
 
 def _spec_from_args(args) -> OdometerSpec:
@@ -62,6 +64,8 @@ def _spec_from_args(args) -> OdometerSpec:
         return OdometerSpec(args.k, _parse_levels(args.levels))
     if args.rule:
         rule = _parse_rule(args.rule)
+        if args.stages > 0:  # bound the last level before any level is formed
+            _refuse_unprintable_stage(args.k, rule, args.stages)
         return OdometerSpec(args.k, rule.levels(args.stages), rule=rule)
     raise ValueError("one of --levels or --rule is required")
 
@@ -91,6 +95,25 @@ def _refuse_unprintable(k: int, n: int, offset: int) -> None:
         raise ValueError(
             f"{k}^{n}{' - 1' if offset else ''} has more than {limit} digits,"
             " more than a report can print; use a smaller k or level"
+        )
+
+
+def _refuse_unprintable_stage(k: int, rule: Geometric, stage: int) -> None:
+    """Refuse a rule's stage whose level n is so long that k**n cannot print.
+
+    k**n >= 2**n exceeds 10**limit once n reaches the bit length of
+    10**limit.  Levels at least double per stage, so a stage past the bit
+    length of that bit length is refused before its level is formed.  The
+    exact check on shorter levels is ``_refuse_unprintable``'s.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        return
+    bits = _digit_ceiling(limit).bit_length()
+    if stage - 1 >= bits.bit_length() or rule.level(stage) >= bits:
+        raise ValueError(
+            f"{k}^n at stage {stage} of the rule has more than {limit} digits,"
+            " more than a report can print; use a smaller k or fewer stages"
         )
 
 
@@ -145,7 +168,7 @@ def _cmd_ok(args) -> dict:
     top = max(args.depth - 1, 0)
     _refuse_unprintable(args.k, top, 0)  # the last level, k**(depth - 1)
     _refuse_unprintable(args.k, args.k ** top, 1)  # its modulus
-    outcome = identify_cuntz_k_theory(args.k, args.depth, budget_bits=args.budget_bits)
+    outcome = identify_cuntz_k_theory(args.k, args.depth)
     k0_desc = "0" if outcome.k0_order == 1 else f"Z_{outcome.k0_order}"
     results = {
         "levels": list(outcome.levels),
@@ -165,7 +188,7 @@ def _cmd_ok(args) -> dict:
     }
     return _report(
         "ok",
-        {"k": args.k, "depth": args.depth, "budget_bits": args.budget_bits},
+        {"k": args.k, "depth": args.depth},
         results,
         list(outcome.citations),
         t0,
@@ -435,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ok", help="identify the tensored tower with a Cuntz algebra")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--depth", type=int, default=4)
-    common(p, budget=True)
+    common(p)
     p.set_defaults(handler=_cmd_ok)
 
     p = sub.add_parser("membership", help="image membership for id - (1/k)T")

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 from .abelian import CyclicElement, CyclicHom, tensor_cyclic_with_localized
 from .arith import (
     DEFAULT_BUDGET_BITS,
+    FactorizationBudgetError,
     SupernaturalNumber,
     factorize,
     is_prime,
@@ -189,6 +190,10 @@ def prime_power_order_witness(
     the cyclotomic value Phi_{p**s}(k), so q is its least prime and only the
     quotient is factorized (and held to the budget).  The order of k modulo
     q**r is then exactly p**s, which the returned witness certifies.
+
+    Phi_{p**s}(k) > k**phi(p**s) >= 2**(phi(p**s) * (k.bit_length() - 1)),
+    so the budget is checked on that bound before k**(p**s) is formed, and
+    on s alone (phi(p**s) >= 2**(s - 1)) before p**s is formed.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -196,6 +201,11 @@ def prime_power_order_witness(
         raise ValueError(f"{p} is not prime")
     if s < 1:
         raise ValueError("s must be >= 1")
+    if s - 1 > budget_bits or p ** (s - 1) * (p - 1) * (k.bit_length() - 1) >= budget_bits:
+        raise FactorizationBudgetError(
+            f"factorization out of budget: Phi_{{{p}^{s}}}({k}) has more than"
+            f" {budget_bits} bits, guard is {budget_bits} bits"
+        )
     small = k ** (p ** (s - 1)) - 1
     q = min(factorize((k ** (p ** s) - 1) // small, budget_bits=budget_bits))
     return PrimePowerWitness(k, p, s, q, valuation(small, q) + 1, order=p ** s)
@@ -305,9 +315,7 @@ class CuntzIdentification:
     )
 
 
-def identify_cuntz_k_theory(
-    k: int, depth: int, *, budget_bits: int = DEFAULT_BUDGET_BITS
-) -> CuntzIdentification:
+def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     """Certify K_0 = Z_{k-1} (unit at 1) and K_1 = 0 for the tensored tower.
 
     Builds the tower for levels n_i = k**(i-1), tensors each stage with the

@@ -1,11 +1,13 @@
 """Tests for the exact-arithmetic foundation."""
 
 from fractions import Fraction
+from math import prod
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import totient
+from sympy import factorint, isprime, nextprime, prevprime, totient
 
 from kcalc.arith import (
     FactorizationBudgetError,
@@ -145,6 +147,35 @@ class TestFactorize:
         for p, e in powers.items():
             product *= p ** e
         assert product == n
+
+    def test_rho_route_matches_sympy(self):
+        # inputs whose primes all lie above the small primes 2..37, so rho
+        # alone splits them: primes 41..10**6 with their squares and cubes,
+        # and products of two such primes, also times a prime above 10**6
+        rng = Random(41)
+        small = [41, 43, 997, 65537, 999983]
+        small += [prevprime(rng.randrange(42, 10 ** 6)) for _ in range(20)]
+        large = [nextprime(rng.randrange(10 ** 6, 10 ** 7)) for _ in range(5)]
+        inputs = [p ** e for p in small for e in (1, 2, 3)]
+        for p, q in zip(small, small[1:] + small[:1]):
+            inputs += [p * q, p * q * rng.choice(large)]
+        for n in inputs:
+            assert factorize(n) == factorint(n), n
+
+    def test_cyclotomic_sweep_matches_sympy(self):
+        # every k**n - 1 within the 96-bit guard, k in 2..12.  factorint takes
+        # seconds here; by unique factorization, a product equal to n of keys
+        # that sympy calls prime is the same check.
+        values = set()
+        for k in range(2, 13):
+            n = 1
+            while (k ** n - 1).bit_length() <= 96:
+                values.add(k ** n - 1)
+                n += 1
+        for n in values:
+            powers = factorize(n)
+            assert all(isprime(p) for p in powers), n
+            assert prod(p ** e for p, e in powers.items()) == n
 
     def test_deterministic_on_rho_range(self):
         n = (10 ** 7 + 19) * (10 ** 7 + 79)

@@ -1,12 +1,16 @@
 """Tests for the command-line interface: reports, round-trips, exit codes."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from random import Random
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _refuse_unprintable, main
 
@@ -58,6 +62,25 @@ class TestK0Command:
         code, _, _ = run_cli(capsys, "k0", "--k", "2", "--levels", "1,two")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("stages", ["1000000", "1000000000000000000"])
+    def test_long_rule_refused_before_its_levels_are_formed(self, capsys, stages):
+        # stage 10**6 of 1,2 has a level of 2**999999; all 10**6 levels hold about 5*10**11 bits
+        start = perf_counter()
+        code, out, err = run_cli(capsys, "k0", "--k", "2", "--rule", "1,2", "--stages", stages)
+        assert perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"error: 2^n at stage {stages} of the rule has more than 4300 digits,"
+            " more than a report can print; use a smaller k or fewer stages\n"
+        )
+
+    @pytest.mark.parametrize("stages", ["0", "-3"])
+    def test_no_stages_exits_2(self, capsys, stages):
+        code, _, err = run_cli(capsys, "k0", "--k", "2", "--rule", "1,2", "--stages", stages)
+        assert code == EXIT_USAGE
+        assert err == "error: at least one level is required\n"
+
     def test_levels_and_rule_together_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "k0", "--k", "2", "--levels", "1,2", "--rule", "1,3")
         assert code == EXIT_USAGE
@@ -80,6 +103,14 @@ class TestOkCommand:
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "ok", "--k", "1")
         assert code == EXIT_USAGE
+
+    def test_no_budget_option(self, capsys):
+        # ok factors only k - 1, which the 4300-digit refusal keeps within 11 bits
+        report = run_json(capsys, "ok", "--k", "3", "--depth", "3")
+        assert report["inputs"] == {"k": 3, "depth": 3}
+        code, out, err = run_cli(capsys, "ok", "--k", "3", "--budget-bits", "8")
+        assert code == EXIT_USAGE
+        assert out == "" and "--budget-bits" in err
 
     def test_report_beyond_int_str_limit_exits_2(self, capsys):
         # the stage moduli of this tower print with more than 4300 digits
@@ -218,8 +249,25 @@ class TestDistinguishCommand:
         assert report["results"]["verdict"] == "distinct"
 
     def test_malformed_rule_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "distinguish", "--k", "2", "--rule-a", "1", "--rule-b", "1,2")
-        assert code == EXIT_USAGE
+        for rule in ("1", "a,b", "1,x", "geometric:1,2,3", "1/2,3"):
+            for argv in (
+                ("k0", "--k", "2", "--rule", rule),
+                ("distinguish", "--k", "2", "--rule-a", rule, "--rule-b", "1,2"),
+            ):
+                code, out, err = run_cli(capsys, *argv)
+                assert code == EXIT_USAGE
+                assert out == ""
+                assert err == f"error: malformed geometric rule: {rule!r} (expected 'c,r')\n"
+
+    def test_deep_witness_refused_before_the_power_is_formed(self, capsys):
+        # the witness for 2**41 needs Phi_{2^41}(2), a number of 2**40 + 1 bits
+        start = perf_counter()
+        code, out, err = run_cli(
+            capsys, "distinguish", "--k", "2", "--rule-a", "1,2", "--rule-b", "1099511627776,3"
+        )
+        assert perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        assert out == "" and "budget" in err
 
 
 class TestWitnessCommand:
@@ -234,6 +282,17 @@ class TestWitnessCommand:
         )
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    def test_deep_witness_refused_before_the_power_is_formed(self, capsys):
+        start = perf_counter()
+        code, out, err = run_cli(capsys, "witness", "--k", "2", "--p", "2", "--s", "40")
+        assert perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == (
+            "error: factorization out of budget: Phi_{2^40}(2) has more than 96 bits,"
+            " guard is 96 bits\n"
+        )
 
     @pytest.mark.parametrize(
         "k,p,s,q,r",
@@ -356,3 +415,117 @@ class TestReportPlumbing:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+# -- fuzzed argv ---------------------------------------------------------------
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def option(flag, values):
+    return values.map(lambda v: (flag, v))
+
+
+def optional(flag, values):
+    """An option that has a default: given or left out."""
+    return st.one_of(st.just(()), option(flag, values))
+
+
+def membership_options(k, n):
+    # n values, most of them in Z[1/k]
+    value = st.builds("{}/{}".format, st.integers(-9, 9), st.sampled_from([1, k, k * k, 3]))
+    values = st.lists(value, min_size=n, max_size=n).map(",".join)
+    return st.tuples(
+        option("--k", st.just(str(k))), option("--n", st.just(str(n))), option("--values", values)
+    )
+
+
+# level chains whose first level above a displacement of at most 2 is at most 8,
+# so that a groupoid shape has at most 5 * 8 * 3**5 = 9720 arrows
+CHAINS = st.sampled_from(["1", "2", "8", "1,2", "1,2,4", "1,3", "2,4,8", "3,6", "2,3", "0,1"])
+RULES = st.builds(
+    "{}{},{}".format, st.sampled_from(["", "geometric:"]), st.integers(1, 12), st.integers(2, 12)
+)
+# witness and distinguish always carry a budget of at most 48 bits: rho then
+# splits every quotient in milliseconds (a 96-bit one can take seconds)
+BUDGET = option("--budget-bits", ints(0, 48))
+
+COMMANDS = {
+    "k0": st.tuples(
+        option("--k", ints(2, 12)),
+        st.one_of(
+            option("--levels", CHAINS),
+            option("--rule", RULES),
+            st.tuples(option("--levels", CHAINS), option("--rule", RULES)).map(
+                lambda pair: pair[0] + pair[1]
+            ),
+        ),
+        optional("--stages", st.one_of(ints(1, 16), st.just(str(10 ** 18)))),
+    ),
+    "ok": st.tuples(option("--k", ints(2, 12)), optional("--depth", ints(2, 5))),
+    "membership": st.tuples(st.integers(2, 12), st.integers(1, 5)).flatmap(
+        lambda kn: membership_options(*kn)
+    ),
+    "distinguish": st.tuples(
+        option("--k", ints(2, 12)), option("--rule-a", RULES), option("--rule-b", RULES), BUDGET
+    ),
+    "witness": st.tuples(
+        option("--k", ints(2, 12)),
+        option("--p", st.sampled_from(["2", "3", "4", "5", "7", "11", "13"])),
+        option("--s", st.one_of(ints(1, 4), st.just("40"))),
+        BUDGET,
+    ),
+    "groupoid": st.tuples(
+        option("--k", ints(2, 3)),
+        option("--levels", CHAINS),
+        option("--depth", ints(0, 3)),
+        option("--max-disp", ints(0, 2)),
+        optional("--af-block", ints(0, 4)),
+        optional("--sample", ints(0, 3)),
+    ),
+    "selftest": st.tuples(optional("--seed", ints(0, 3))),
+}
+FORMATS = st.sampled_from([(), ("--json",), ("--table",), ("--json", "--table")])
+# a malformed word (or a bad number) to put in place of one word of the argv
+JUNK = st.sampled_from(["x", "", "1.5", "-x", "1/0", "1,,2", "0", "1", "-1", "a,b", "--k"])
+
+
+def spoil(argv, how):
+    """Put the junk word in place of the word at position i (after the subcommand)."""
+    if how is None:
+        return argv
+    i, junk = how
+    i = 1 + i % len(argv[1:]) if len(argv) > 1 else 1
+    return [*argv[:i], junk, *argv[i + 1 :]]
+
+
+ARGVS = st.builds(
+    spoil,
+    st.sampled_from(sorted(COMMANDS)).flatmap(
+        lambda command: st.tuples(COMMANDS[command], FORMATS).map(
+            lambda parts: [command, *(w for option_ in parts[0] for w in option_), *parts[1]]
+        )
+    ),
+    st.one_of(st.none(), st.tuples(st.integers(0, 20), JUNK)),
+)
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=ARGVS)
+    def test_fuzzed_argv_ends_in_a_report_or_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET), (argv, code)
+        if code == EXIT_OK:
+            assert err == ""
+            if "--table" not in argv:
+                assert json.loads(out)["schema"] == "kcalc/1"
+        else:
+            assert out == ""
+            assert err.endswith("\n")
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)

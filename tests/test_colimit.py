@@ -182,6 +182,23 @@ class TestPrimePowerWitness:
         with pytest.raises(FactorizationBudgetError):
             prime_power_order_witness(2, 2, 7, budget_bits=64)
 
+    def test_size_bound_refuses_only_quotients_over_the_guard(self):
+        # the budget is checked on a lower bound before k**(p**s) is formed
+        for k, p, s in product(range(2, 13), (2, 3, 5, 7), range(1, 5)):
+            big, small = k ** (p ** s) - 1, k ** (p ** (s - 1)) - 1
+            bits = (big // small).bit_length()
+            for budget in (8, 16, 32, 48, 64):
+                if bits > budget:
+                    with pytest.raises(FactorizationBudgetError):
+                        prime_power_order_witness(k, p, s, budget_bits=budget)
+                else:
+                    assert prime_power_order_witness(k, p, s, budget_bits=budget).order == p ** s
+
+    def test_huge_exponent_refused_before_the_power_is_formed(self):
+        for s in (41, 10 ** 18):
+            with pytest.raises(FactorizationBudgetError, match="more than 96 bits"):
+                prime_power_order_witness(2, 2, s)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             prime_power_order_witness(2, 4, 1)
