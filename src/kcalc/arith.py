@@ -2,7 +2,8 @@
 
 Elements of Z[1/k] (integers with a distinguished inverted base),
 supernatural numbers, p-adic valuations, integer factorization (small
-primes, then Brent rho, behind a size guard) and multiplicative orders.
+primes, then Pollard p-1 (stage 1, bound B), then Brent rho, behind a size
+guard) and multiplicative orders.
 Everything here is integer-exact; the library never touches floating point.
 """
 
@@ -33,6 +34,11 @@ DEFAULT_BUDGET_BITS = 96
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_TAIL = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+# Stage-1 bound B of Pollard's p-1 method.  A prime q of Phi_d(k) not
+# dividing d is 1 mod d, so q - 1 is often B-smooth for the small d of a
+# tower.  A larger B makes every pass that finds nothing dearer.
+_PM1_BOUND = 1024
 
 
 class FactorizationBudgetError(Exception):
@@ -92,6 +98,43 @@ def radical_divides(m: int, d: int) -> bool:
     return True
 
 
+def _prime_powers_up_to(bound: int) -> tuple[int, ...]:
+    """p**floor(log_p bound) for every prime p <= bound, in increasing p."""
+    sieve = bytearray([1]) * (bound + 1)
+    powers = []
+    for p in range(2, bound + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+            q = p
+            while q * p <= bound:
+                q *= p
+            powers.append(q)
+    return tuple(powers)
+
+
+_PM1_POWERS = _prime_powers_up_to(_PM1_BOUND)
+_PM1_EXPONENT = math.prod(_PM1_POWERS)  # lcm(1..B)
+
+
+def _pollard_pm1(n: int) -> int | None:
+    """A proper factor of an odd composite n by one stage-1 p-1 pass, or None.
+
+    Finds q | n whenever the order of 2 mod q divides lcm(1..B), e.g. when
+    q - 1 is B-smooth.  A single gcd of 2**lcm(1..B) - 1 with n decides; if
+    it is n (every prime of n is caught), the pass is redone one prime power
+    at a time and the first proper gcd is returned.  None means no split.
+    """
+    g = math.gcd(pow(2, _PM1_EXPONENT, n) - 1, n)
+    if g == n:
+        a = 2
+        for q in _PM1_POWERS:
+            a = pow(a, q, n)
+            g = math.gcd(a - 1, n)
+            if g > 1:
+                break
+    return g if 1 < g < n else None
+
+
 def _brent_rho(n: int) -> int:
     """Nontrivial factor of an odd composite n, Brent's cycle variant.
 
@@ -132,7 +175,7 @@ def _factor_into(n: int, powers: dict[int, int]) -> None:
     if is_prime(n):
         powers[n] = powers.get(n, 0) + 1
         return
-    d = _brent_rho(n)
+    d = _pollard_pm1(n) or _brent_rho(n)
     _factor_into(d, powers)
     _factor_into(n // d, powers)
 
@@ -141,9 +184,10 @@ def factorize(n: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> dict[int, in
     """Prime factorization of n >= 1 as a map prime -> multiplicity.
 
     Divides out the small primes 2..37 (the Miller-Rabin bases, which
-    is_prime also divides by), then splits the cofactor by deterministic-
-    seeded Brent rho until is_prime accepts every part.  Inputs above
-    2**budget_bits raise FactorizationBudgetError.
+    is_prime also divides by), then splits each composite cofactor by
+    Pollard p-1 (stage 1, bound B = 1024) or, when that finds no proper
+    divisor, by deterministic-seeded Brent rho, until is_prime accepts
+    every part.  Inputs above 2**budget_bits raise FactorizationBudgetError.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")

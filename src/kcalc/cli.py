@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -343,10 +344,18 @@ def _cmd_selftest(args) -> dict:
             ok = False
         checks.append((name, ok))
 
-    from .arith import factorize, multiplicative_order, valuation
+    from .arith import factorize, is_prime, multiplicative_order, valuation
     from .odometer import kernel_is_trivial
 
     check("factorize(255)", lambda: factorize(255) == {3: 1, 5: 1, 17: 1})
+
+    def splits_phi_59_of_3() -> bool:
+        # a 93-bit product whose smaller prime p-1 finds (q - 1 is 199-smooth)
+        n = (3 ** 59 - 1) // 2
+        powers = factorize(n)
+        return all(map(is_prime, powers)) and math.prod(q ** e for q, e in powers.items()) == n
+
+    check("factorize splits (3^59-1)/2 into primes that recompose it", splits_phi_59_of_3)
     check("valuation(19682, 2)", lambda: valuation(19682, 2) == 1)
     check("multiplicative_order(2, 5)", lambda: multiplicative_order(2, 5) == 4)
     check(

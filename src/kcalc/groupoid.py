@@ -37,6 +37,9 @@ __all__ = [
 # Product arrows materialized by ``product_with_af``.
 _AF_SAMPLES = 10
 
+# Arrow classes ``enumerate_arrows`` builds at most.
+_ARROW_CAP = 2 ** 18
+
 
 class ResolutionExhaustedError(ValueError):
     """A cylinder with an empty word cannot be shifted further."""
@@ -126,7 +129,9 @@ def enumerate_arrows(
 
     The count has a closed form: each displacement contributes
     N * k**(depth + max_displacement) classes, independent of the
-    displacement.
+    displacement.  Every class is built, so a shape whose count exceeds
+    2**18 raises ValueError before the first one is; the cap goes once
+    enumeration is lazy.
     """
     if k < 1 or vertex_level < 1 or depth < 0:
         raise ValueError("need k >= 1, vertex_level >= 1 and depth >= 0")
@@ -136,6 +141,14 @@ def enumerate_arrows(
         raise ValueError(
             f"max_displacement {max_displacement} exceeds depth {depth}: "
             "insufficient resolution"
+        )
+    # For k >= 2 a long exponent alone exceeds the cap; k**exponent is not formed.
+    exponent = depth + max_displacement
+    if (k > 1 and exponent > _ARROW_CAP.bit_length()) or (
+        (2 * max_displacement + 1) * vertex_level * k ** exponent > _ARROW_CAP
+    ):
+        raise ValueError(
+            f"the shape has more than {_ARROW_CAP} arrow classes, the enumeration cap"
         )
     alphabet = tuple(range(1, k + 1))
     n_vert = vertex_level

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime, prevprime, totient
 
+from kcalc import arith
 from kcalc.arith import (
     FactorizationBudgetError,
     KPowerRational,
@@ -19,6 +20,7 @@ from kcalc.arith import (
     radical_divides,
     valuation,
 )
+from kcalc.colimit import prime_power_order_witness
 from oracles import naive_multiplicative_order, trial_division_factorize
 
 
@@ -149,8 +151,8 @@ class TestFactorize:
         assert product == n
 
     def test_rho_route_matches_sympy(self):
-        # inputs whose primes all lie above the small primes 2..37, so rho
-        # alone splits them: primes 41..10**6 with their squares and cubes,
+        # inputs whose primes all lie above the small primes 2..37, so p-1
+        # and rho split them: primes 41..10**6 with their squares and cubes,
         # and products of two such primes, also times a prime above 10**6
         rng = Random(41)
         small = [41, 43, 997, 65537, 999983]
@@ -159,8 +161,30 @@ class TestFactorize:
         inputs = [p ** e for p in small for e in (1, 2, 3)]
         for p, q in zip(small, small[1:] + small[:1]):
             inputs += [p * q, p * q * rng.choice(large)]
+        # p-1's fallbacks.  1020 and 1032 are both 1024-smooth, so the single
+        # gcd is n and the per-prime-power redo splits it.
+        assert arith._pollard_pm1(1021 * 1033) in (1021, 1033)
+        # 2038 = 2*1019 and 32608 = 2**5*1019 (and 1093 is a Wieferich
+        # prime: the order of 2 mod 1093**2 is 364): every prefix of stage 1
+        # gives 1 or n, so rho splits them.
+        assert arith._pollard_pm1(2039 * 32609) is None
+        assert arith._pollard_pm1(1093 ** 2) is None
+        # safe primes 2*1031+1 and so on: neither q-1 is 1024-smooth.
+        assert arith._pollard_pm1(2063 * 2099) is None
+        inputs += [1021 * 1033, 2039 * 32609, 1093 ** 2, 2063 * 2099, 2207 * 2447]
         for n in inputs:
             assert factorize(n) == factorint(n), n
+
+    def test_pm1_route_splits_phi_59_of_3(self, monkeypatch):
+        # 14425532687 - 1 = 2*53*59*67*173*199 is 1024-smooth, so p-1
+        # splits Phi_59(3) without rho.
+        def no_rho(n):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(arith, "_brent_rho", no_rho)
+        expected = {14425532687: 1, 489769993189671059: 1}
+        assert factorize((3 ** 59 - 1) // 2) == expected
+        assert prime_power_order_witness(3, 59, 1).q == 14425532687
 
     def test_cyclotomic_sweep_matches_sympy(self):
         # every k**n - 1 within the 96-bit guard, k in 2..12.  factorint takes

@@ -363,6 +363,19 @@ class TestGroupoidCommand:
         assert out == ""
         assert err == "error: --sample must be non-negative\n"
 
+    def test_oversize_shape_refused_before_any_arrow_is_built(self, capsys):
+        # 3 * 2 * 2**41 arrow classes, about 1.3e13
+        start = perf_counter()
+        code, out, err = run_cli(
+            capsys,
+            "groupoid", "--k", "2", "--levels", "1,2",
+            "--depth", "40", "--max-disp", "1",
+        )
+        assert perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestReportPlumbing:
     def test_json_round_trip_all_commands(self, capsys):
