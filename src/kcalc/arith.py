@@ -122,16 +122,27 @@ def _pollard_pm1(n: int) -> int | None:
     Finds q | n whenever the order of 2 mod q divides lcm(1..B), e.g. when
     q - 1 is B-smooth.  A single gcd of 2**lcm(1..B) - 1 with n decides; if
     it is n (every prime of n is caught), the pass is redone one prime power
-    at a time and the first proper gcd is returned.  None means no split.
+    at a time in increasing p; if that jumps from 1 to n, it is redone in
+    decreasing p from the prime power where it jumped.  The first proper gcd
+    is returned.  None means no split.
     """
     g = math.gcd(pow(2, _PM1_EXPONENT, n) - 1, n)
     if g == n:
         a = 2
-        for q in _PM1_POWERS:
+        for top, q in enumerate(_PM1_POWERS):
             a = pow(a, q, n)
             g = math.gcd(a - 1, n)
             if g > 1:
                 break
+        if g == n:
+            # Every order of 2 mod a prime of n divides the powers up to `top`
+            # and is prime to those above it, which would change no gcd.
+            a = 2
+            for q in reversed(_PM1_POWERS[: top + 1]):
+                a = pow(a, q, n)
+                g = math.gcd(a - 1, n)
+                if g > 1:
+                    break
     return g if 1 < g < n else None
 
 

@@ -5,8 +5,16 @@ source map (x, i) -> x and range map (x, i) -> x + 1.  Infinite paths are
 approximated by cylinders (a base residue plus a finite word prefix); the
 one-sided shift advances the base and drops the first letter.  An arrow
 class is a statement about cylinders: two shift exponents under which the
-source and target cylinders agree at the available resolution.  Refining
-the word depth splits each class into k copies per extra letter.
+source and target cylinders agree at the available resolution.  In closed
+form, (target, m, n, source) is an arrow class when
+
+    target.base + m == source.base + n  (mod N)  and
+    target.word[m:m+o] == source.word[n:n+o],  o = min(target.depth - m, source.depth - n).
+
+Enumeration runs over the displacement d = m - n, then t = min(m, n), the
+source base, the source word, and the free letters of the target word (its
+head before the overlap, then its tail after it).  Refining the word depth
+splits each class into k copies per extra letter.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ __all__ = [
     "IsotropyCertificate",
     "ResolutionExhaustedError",
     "InsufficientPrefixError",
-    "cylinders_comparable",
     "enumerate_arrows",
     "compose_arrows",
     "invert_arrow",
@@ -73,20 +80,6 @@ class Cylinder:
             raise ResolutionExhaustedError("cylinder word is empty; resolution exhausted")
         return Cylinder(self.level, self.base + 1, self.word[1:])
 
-    def shifted(self, times: int) -> "Cylinder":
-        c = self
-        for _ in range(times):
-            c = c.shift()
-        return c
-
-
-def cylinders_comparable(a: Cylinder, b: Cylinder) -> bool:
-    """Equality at the available resolution: same base, words agree on the overlap."""
-    if a.level != b.level or a.base != b.base:
-        return False
-    overlap = min(a.depth, b.depth)
-    return a.word[:overlap] == b.word[:overlap]
-
 
 @dataclass(frozen=True)
 class ArrowClass:
@@ -103,13 +96,17 @@ class ArrowClass:
     n: int
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+        source, target, m, n = self.source, self.target, self.m, self.n
+        if m < 0 or n < 0:
             raise ValueError("shift exponents must be non-negative")
-        if self.source.level != self.target.level:
+        if source.level != target.level:
             raise ValueError("source and target live at different vertex levels")
-        if self.m > self.target.depth or self.n > self.source.depth:
+        if m > target.depth or n > source.depth:
             raise ResolutionExhaustedError("shift exponents exceed the word depth")
-        if not cylinders_comparable(self.target.shifted(self.m), self.source.shifted(self.n)):
+        overlap = min(target.depth - m, source.depth - n)
+        if (target.base + m - source.base - n) % target.level or (
+            target.word[m : m + overlap] != source.word[n : n + overlap]
+        ):
             raise ValueError("cylinders do not match under the declared shifts")
 
     @property
@@ -126,6 +123,15 @@ def enumerate_arrows(
     m, n <= max_displacement; per (source, target, displacement) only the
     least witness is produced (a pair (m, n) is dropped when (m-1, n-1)
     already connects the cylinders).  Requires max_displacement <= depth.
+
+    Each class is valid by construction.  With overlap o = depth - max(m, n)
+    the target base is source.base + n - m (mod N) and the target word is
+    head + source.word[n:n+o] + tail, with m free letters in the head and
+    max(n - m, 0) in the tail; when t = min(m, n) >= 1 the last head letter
+    differs from source.word[n-1], which makes the witness least.  The order
+    is d = m - n, then t, the source base, the source word, the head and the
+    tail, each word in lexicographic order; one source Cylinder is shared by
+    all its classes.
 
     The count has a closed form: each displacement contributes
     N * k**(depth + max_displacement) classes, independent of the
@@ -151,35 +157,25 @@ def enumerate_arrows(
             f"the shape has more than {_ARROW_CAP} arrow classes, the enumeration cap"
         )
     alphabet = tuple(range(1, k + 1))
-    n_vert = vertex_level
     arrows: list[ArrowClass] = []
     for d in range(-max_displacement, max_displacement + 1):
         for t in range(max_displacement - abs(d) + 1):
             m = max(d, 0) + t
             n = max(-d, 0) + t
             overlap = depth - max(m, n)
-            free = list(range(m)) + list(range(m + overlap, depth))
-            blocked_pos = free.index(m - 1) if t >= 1 else None
-            for base_src in range(n_vert):
-                base_tgt = (base_src + n - m) % n_vert
+            heads = tuple(product(alphabet, repeat=m))
+            tails = tuple(product(alphabet, repeat=depth - m - overlap))
+            for base_src in range(vertex_level):
+                base_tgt = (base_src + n - m) % vertex_level
                 for word_src in product(alphabet, repeat=depth):
-                    word_tgt = [0] * depth
-                    for j in range(overlap):
-                        word_tgt[m + j] = word_src[n + j]
-                    blocked = word_src[n - 1] if t >= 1 else None
-                    for choice in product(alphabet, repeat=len(free)):
-                        if blocked is not None and choice[blocked_pos] == blocked:
+                    source = Cylinder(vertex_level, base_src, word_src)
+                    shared = word_src[n : n + overlap]
+                    for head in heads:
+                        if t >= 1 and head[-1] == word_src[n - 1]:
                             continue
-                        for pos, letter in zip(free, choice):
-                            word_tgt[pos] = letter
-                        arrows.append(
-                            ArrowClass(
-                                source=Cylinder(n_vert, base_src, word_src),
-                                target=Cylinder(n_vert, base_tgt, tuple(word_tgt)),
-                                m=m,
-                                n=n,
-                            )
-                        )
+                        for tail in tails:
+                            target = Cylinder(vertex_level, base_tgt, head + shared + tail)
+                            arrows.append(ArrowClass(source=source, target=target, m=m, n=n))
     return arrows
 
 
@@ -216,15 +212,12 @@ def refine_arrow(a: ArrowClass, k: int) -> list[ArrowClass]:
     m, n = a.m, a.n
     refined = []
     for letter in range(1, k + 1):
-        if m > n:
+        if m >= n:
             src_word = a.source.word + (letter,)
-            tgt_word = a.target.word + (a.source.word[depth - (m - n)],)
-        elif m < n:
-            src_word = a.source.word + (a.target.word[depth - (n - m)],)
-            tgt_word = a.target.word + (letter,)
+            tgt_word = a.target.word + (src_word[depth + n - m],)
         else:
-            src_word = a.source.word + (letter,)
             tgt_word = a.target.word + (letter,)
+            src_word = a.source.word + (tgt_word[depth + m - n],)
         refined.append(
             ArrowClass(
                 source=Cylinder(a.source.level, a.source.base, src_word),

@@ -164,10 +164,12 @@ class TestFactorize:
         # p-1's fallbacks.  1020 and 1032 are both 1024-smooth, so the single
         # gcd is n and the per-prime-power redo splits it.
         assert arith._pollard_pm1(1021 * 1033) in (1021, 1033)
-        # 2038 = 2*1019 and 32608 = 2**5*1019 (and 1093 is a Wieferich
-        # prime: the order of 2 mod 1093**2 is 364): every prefix of stage 1
-        # gives 1 or n, so rho splits them.
-        assert arith._pollard_pm1(2039 * 32609) is None
+        # 2038 = 2*1019 and 32608 = 2**5*1019: every increasing prefix of
+        # stage 1 gives 1 or n; the decreasing redo starts at 1019, the order
+        # of 2 mod 2039, and splits 2039 off at once.
+        assert arith._pollard_pm1(2039 * 32609) == 2039
+        # 1093 is a Wieferich prime (the order of 2 mod 1093**2 is 364, as
+        # mod 1093): every prefix in either order gives 1 or n, so rho splits it.
         assert arith._pollard_pm1(1093 ** 2) is None
         # safe primes 2*1031+1 and so on: neither q-1 is 1024-smooth.
         assert arith._pollard_pm1(2063 * 2099) is None
@@ -185,6 +187,17 @@ class TestFactorize:
         expected = {14425532687: 1, 489769993189671059: 1}
         assert factorize((3 ** 59 - 1) // 2) == expected
         assert prime_power_order_witness(3, 59, 1).q == 14425532687
+
+    def test_pm1_decreasing_redo_splits_phi_49_of_4(self, monkeypatch):
+        # both primes divide 2**98 - 1 (orders 98 and 49), so every prefix of
+        # the increasing redo gives 1 or n; the decreasing one splits at 7**3.
+        def no_rho(n):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(arith, "_brent_rho", no_rho)
+        expected = {4363953127297: 1, 4432676798593: 1}
+        assert factorize((4 ** 49 - 1) // (4 ** 7 - 1)) == expected
+        assert prime_power_order_witness(4, 7, 2).q == 4363953127297
 
     def test_cyclotomic_sweep_matches_sympy(self):
         # every k**n - 1 within the 96-bit guard, k in 2..12.  factorint takes

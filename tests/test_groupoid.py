@@ -1,6 +1,8 @@
 """Tests for cylinders, arrow enumeration and isotropy certificates."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kcalc.groupoid import (
     ArrowClass,
@@ -9,14 +11,13 @@ from kcalc.groupoid import (
     ResolutionExhaustedError,
     certify_no_isotropy,
     compose_arrows,
-    cylinders_comparable,
     enumerate_arrows,
     invert_arrow,
     product_with_af,
     refine_arrow,
 )
 from kcalc.odometer import OdometerSpec
-from oracles import pair_scan_arrows, residue_scan_isotropy
+from oracles import _shift_match, pair_scan_arrows, residue_scan_isotropy
 
 
 def arrow_key(a: ArrowClass):
@@ -42,10 +43,13 @@ class TestCylinder:
         assert c.shift().base == 0
 
     def test_comparable_at_resolution(self):
-        assert cylinders_comparable(Cylinder(2, 1, (1, 2)), Cylinder(2, 1, (1,)))
-        assert not cylinders_comparable(Cylinder(2, 1, (1, 2)), Cylinder(2, 1, (2,)))
-        assert not cylinders_comparable(Cylinder(2, 0, (1,)), Cylinder(2, 1, (1,)))
-        assert cylinders_comparable(Cylinder(2, 0, ()), Cylinder(2, 0, (1, 2)))
+        # unshifted (m = n = 0): same base, words agree on the overlap
+        ArrowClass(source=Cylinder(2, 1, (1,)), target=Cylinder(2, 1, (1, 2)), m=0, n=0)
+        with pytest.raises(ValueError):
+            ArrowClass(source=Cylinder(2, 1, (2,)), target=Cylinder(2, 1, (1, 2)), m=0, n=0)
+        with pytest.raises(ValueError):
+            ArrowClass(source=Cylinder(2, 1, (1,)), target=Cylinder(2, 0, (1,)), m=0, n=0)
+        ArrowClass(source=Cylinder(2, 0, (1, 2)), target=Cylinder(2, 0, ()), m=0, n=0)
 
 
 class TestArrowClass:
@@ -66,6 +70,23 @@ class TestArrowClass:
         src = Cylinder(2, 0, (1,))
         with pytest.raises(ResolutionExhaustedError):
             ArrowClass(source=src, target=src, m=2, n=2)
+
+    @given(st.data())
+    def test_constructs_exactly_when_the_shift_oracle_matches(self, data):
+        level = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, 3))
+        words = st.lists(st.integers(1, k), max_size=5).map(tuple)
+        base_s, base_t = data.draw(st.integers(-12, 12)), data.draw(st.integers(-12, 12))
+        word_s, word_t = data.draw(words), data.draw(words)
+        m = data.draw(st.integers(0, len(word_t)))
+        n = data.draw(st.integers(0, len(word_s)))
+        source, target = Cylinder(level, base_s, word_s), Cylinder(level, base_t, word_t)
+        if _shift_match(level, base_t, word_t, m, base_s, word_s, n):
+            a = ArrowClass(source=source, target=target, m=m, n=n)
+            assert (a.source, a.target, a.m, a.n) == (source, target, m, n)
+        else:
+            with pytest.raises(ValueError):
+                ArrowClass(source=source, target=target, m=m, n=n)
 
 
 class TestEnumerate:
@@ -90,11 +111,19 @@ class TestEnumerate:
 
     @pytest.mark.parametrize(
         "k,level,depth,disp",
-        [(2, 2, 2, 1), (2, 3, 2, 2), (3, 2, 3, 1), (2, 1, 2, 2), (1, 3, 2, 1)],
+        [(2, 2, 2, 1), (2, 3, 2, 2), (3, 2, 3, 1), (2, 1, 2, 2), (1, 3, 2, 1), (3, 1, 3, 2)],
     )
     def test_matches_pair_scan_oracle(self, k, level, depth, disp):
-        ours = {arrow_key(a) for a in enumerate_arrows(k, level, depth, disp)}
-        assert ours == pair_scan_arrows(k, level, depth, disp)
+        ours = [arrow_key(a) for a in enumerate_arrows(k, level, depth, disp)]
+        expected = pair_scan_arrows(k, level, depth, disp)
+        assert set(ours) == expected
+
+        # the documented order: d, t, source base, source word, head, tail
+        def order(key):
+            base_s, word_s, _, word_t, m, n = key
+            return (m - n, min(m, n), base_s, word_s, word_t[:m], word_t[depth - max(n - m, 0) :])
+
+        assert ours == sorted(expected, key=order)
 
     def test_no_duplicates(self):
         arrows = enumerate_arrows(3, 2, 3, 2)
