@@ -3,8 +3,8 @@
 Subcommands: k0, ok, membership, distinguish, witness, groupoid, selftest.
 Exit codes: 0 success, 2 usage or precondition violation, 3 factorization
 budget exhausted.  Reports are deterministic for fixed inputs (apart from
-the timing field; ``--seed`` matters only to selftest) and carry the schema
-tag "kcalc/1".
+the timing field; only selftest takes ``--seed``) and carry the schema tag
+"kcalc/1".
 """
 
 from __future__ import annotations
@@ -442,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, budget=False):
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
         if budget:
             p.add_argument(
                 "--budget-bits",
@@ -502,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_groupoid)
 
     p = sub.add_parser("selftest", help="quick library self checks")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     common(p)
     p.set_defaults(handler=_cmd_selftest)
 

@@ -3,15 +3,15 @@
 Colimit prefixes with their connecting maps and unit thread, the order
 spectrum, prime-power order witnesses, non-isomorphism tests for limits
 built from geometric level rules, and the pipeline identifying the
-UHF-tensored odometer tower with the K-theory of a Cuntz algebra.
+UHF-tensored odometer tower with the K-theory of a Cuntz algebra, which
+works from residues modulo (k-1)**2 and forms no k**n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from .abelian import CyclicElement, CyclicHom, tensor_cyclic_with_localized
+from .abelian import CyclicElement, CyclicHom
 from .arith import (
     DEFAULT_BUDGET_BITS,
     FactorizationBudgetError,
@@ -21,9 +21,6 @@ from .arith import (
     prime_factors,
     valuation,
 )
-
-if TYPE_CHECKING:
-    from .odometer import KernelCertificate
 
 __all__ = [
     "Geometric",
@@ -273,15 +270,22 @@ class StageCongruenceError(Exception):
 
 @dataclass(frozen=True)
 class IdentificationStage:
-    """One certified stage of the UHF-tensored tower."""
+    """One certified stage of the UHF-tensored tower; modulus and cofactor are formed when read."""
 
+    k: int
     stage: int
     level: int
-    modulus: int
     tensored_modulus: int
-    cofactor: int
     cofactor_congruences: tuple[tuple[int, int], ...]
     unit_image: int
+
+    @property
+    def modulus(self) -> int:
+        return self.k ** self.level - 1
+
+    @property
+    def cofactor(self) -> int:
+        return self.modulus // (self.k - 1)
 
 
 @dataclass(frozen=True)
@@ -299,13 +303,11 @@ class CuntzIdentification:
     depth: int
     supernatural: SupernaturalNumber
     levels: tuple[int, ...]
-    moduli: tuple[int, ...]
     stages: tuple[IdentificationStage, ...]
     induced_multipliers: tuple[int, ...]
     k0_order: int
     unit_class: int
     k1_trivial: bool
-    kernel_certificates: tuple["KernelCertificate", ...]
     citations: tuple[str, ...] = field(
         default=(
             "stage groups and connecting maps: exact computation",
@@ -314,67 +316,62 @@ class CuntzIdentification:
         )
     )
 
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        return tuple(s.modulus for s in self.stages)
+
 
 def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     """Certify K_0 = Z_{k-1} (unit at 1) and K_1 = 0 for the tensored tower.
 
-    Builds the tower for levels n_i = k**(i-1), tensors each stage with the
-    localized group of type ``complement(k-1)``, and verifies stage by stage:
-    the tensored group has order exactly k - 1; the cofactor
-    (k**n_i - 1)/(k - 1) is congruent to 1 modulo every prime of k - 1; each
-    induced connecting multiplier is congruent to 1 modulo k - 1; and the
-    unit thread maps to 1.  Any failure raises StageCongruenceError naming
-    the failing congruence.
+    Stage i has level n = k**(i-1) and modulus k**n - 1 = M * c, M = k - 1.
+    As k = 1 (mod M), the cofactor c = 1 + k + ... + k**(n-1) = n = 1 (mod M).
+    Each stage is certified from one residue, k**n mod M**2, which gives
+    c mod M; no k**n is formed.  No prime of M divides c, so the tensor with
+    the localized group of type ``complement(M)`` has order M; c is 1 modulo
+    every prime of M; the unit class c maps to 1 mod M; the induced
+    connecting multiplier c_{i+1} / c_i is 1 mod M; and K_1 = 0, as the
+    kernel pivot 1 - k**-n has numerator k**n - 1 = -1 (mod k).  Any failure
+    raises StageCongruenceError naming the failing congruence.
     """
-    from .odometer import OdometerSpec, k0_odometer
-
     if k < 2:
         raise ValueError("k must be >= 2")
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    rule = Geometric(1, k)
-    spec = OdometerSpec(k, rule.levels(depth), rule=rule)
-    tower = k0_odometer(spec)
-    s = SupernaturalNumber.coprime_complement(k - 1)
     target = k - 1
+    square = target * target
     target_primes = prime_factors(target) if target > 1 else []
+    levels = Geometric(1, k).levels(depth)
 
     stages = []
-    for i, (level, m) in enumerate(zip(spec.levels, tower.k0.moduli), start=1):
-        tensored = tensor_cyclic_with_localized(m, s)
-        if tensored.modulus != target:
-            raise StageCongruenceError(
-                f"stage {i}: tensored order {tensored.modulus} != {target}"
-            )
-        cofactor = m // target
+    for i, level in enumerate(levels, start=1):
+        cofactor = (pow(k, level, square) - 1) % square // target  # c mod M
+        if any(cofactor % p == 0 for p in target_primes):
+            raise StageCongruenceError(f"stage {i}: tensored order exceeds {target}")
         congruences = []
         for p in target_primes:
             residue = cofactor % p
             if residue != 1:
-                raise StageCongruenceError(
-                    f"stage {i}: cofactor {cofactor} is {residue}, not 1, mod {p}"
-                )
+                raise StageCongruenceError(f"stage {i}: cofactor is {residue}, not 1, mod {p}")
             congruences.append((p, residue))
-        unit_image = tensored.surjection(tower.k0.unit_thread[i - 1]).residue
-        if unit_image != 1 % target:
+        if cofactor != 1 % target:
             raise StageCongruenceError(
-                f"stage {i}: unit class lands on {unit_image}, not 1, mod {target}"
+                f"stage {i}: unit class lands on {cofactor}, not 1, mod {target}"
             )
         stages.append(
             IdentificationStage(
+                k=k,
                 stage=i,
                 level=level,
-                modulus=m,
-                tensored_modulus=tensored.modulus,
-                cofactor=cofactor,
+                tensored_modulus=target,
                 cofactor_congruences=tuple(congruences),
-                unit_image=unit_image,
+                unit_image=cofactor,
             )
         )
 
     induced = []
-    for i, h in enumerate(tower.k0.maps, start=1):
-        u = h.multiplier % target
+    for i, (a, b) in enumerate(zip(stages, stages[1:]), start=1):
+        u = b.unit_image * pow(a.unit_image, -1, target) % target  # c_{i+1} / c_i mod M
         if u != 1 % target:
             raise StageCongruenceError(
                 f"induced map {i}: multiplier is {u}, not 1, mod {target}"
@@ -384,13 +381,11 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     return CuntzIdentification(
         k=k,
         depth=depth,
-        supernatural=s,
-        levels=spec.levels,
-        moduli=tower.k0.moduli,
+        supernatural=SupernaturalNumber.coprime_complement(target),
+        levels=levels,
         stages=tuple(stages),
         induced_multipliers=tuple(induced),
         k0_order=target,
         unit_class=1 % target,
-        k1_trivial=tower.k1_trivial,
-        kernel_certificates=tower.kernel_certificates,
+        k1_trivial=all(pow(k, level, k) != 1 for level in levels),
     )

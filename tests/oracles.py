@@ -250,3 +250,57 @@ def double_sum_membership_series(f):
     if recovered != f:
         raise RuntimeError("series witness failed to reproduce the input exactly")
     return SeriesMembership(True, g)
+
+
+def tensor_route_identification(k: int, depth: int) -> dict:
+    """The Cuntz identification the long way: the whole tower, tensored stage by stage.
+
+    Builds every modulus k**n - 1 of the tower for levels k**(i-1) through
+    ``k0_odometer``, tensors each stage with the localized group of type
+    complement(k - 1), and reads the tensored orders, cofactor residues, unit
+    images and induced multipliers off those groups and maps.  K_0 is the last
+    tensored stage and K_1 = 0 comes from the per-level kernel certificates.
+    Returns the fields of a ``CuntzIdentification`` (without its citations),
+    each stage as a dict that also holds its modulus and cofactor.
+    """
+    from kcalc.abelian import tensor_cyclic_with_localized
+    from kcalc.arith import SupernaturalNumber, prime_factors
+    from kcalc.colimit import Geometric
+    from kcalc.odometer import OdometerSpec, k0_odometer
+
+    target = k - 1
+    rule = Geometric(1, k)
+    spec = OdometerSpec(k, rule.levels(depth), rule=rule)
+    tower = k0_odometer(spec)
+    s = SupernaturalNumber.coprime_complement(target)
+    primes = prime_factors(target) if target > 1 else []
+    stages = []
+    for i, (level, m, unit) in enumerate(
+        zip(spec.levels, tower.k0.moduli, tower.k0.unit_thread), start=1
+    ):
+        tensored = tensor_cyclic_with_localized(m, s)
+        cofactor = m // target
+        stages.append(
+            {
+                "k": k,
+                "stage": i,
+                "level": level,
+                "modulus": m,
+                "tensored_modulus": tensored.modulus,
+                "cofactor": cofactor,
+                "cofactor_congruences": tuple((p, cofactor % p) for p in primes),
+                "unit_image": tensored.surjection(unit).residue,
+            }
+        )
+    return {
+        "k": k,
+        "depth": depth,
+        "supernatural": s,
+        "levels": spec.levels,
+        "moduli": tower.k0.moduli,
+        "stages": stages,
+        "induced_multipliers": tuple(h.multiplier % target for h in tower.k0.maps),
+        "k0_order": stages[-1]["tensored_modulus"],
+        "unit_class": stages[-1]["unit_image"],
+        "k1_trivial": tower.k1_trivial,
+    }

@@ -87,6 +87,13 @@ class TestK0Command:
         assert out == ""
         assert "not allowed with" in err
 
+    def test_seed_is_not_an_option_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "k0", "--k", "2", "--levels", "1,2", "--seed", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "--seed" in err
+
 
 class TestOkCommand:
     def test_base_two_reports_trivial_k0(self, capsys):
@@ -424,6 +431,9 @@ class TestReportPlumbing:
 
     def test_selftest_passes(self, capsys):
         report = run_json(capsys, "selftest")
+        assert report["results"]["all_ok"]
+        report = run_json(capsys, "selftest", "--seed", "3")
+        assert report["inputs"] == {"seed": 3}
         assert report["results"]["all_ok"]
 
     def test_unknown_subcommand_exits_2(self, capsys):

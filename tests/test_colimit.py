@@ -1,5 +1,10 @@
 """Tests for colimit prefixes, order invariants, witnesses and the pipeline."""
 
+import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -15,8 +20,9 @@ from kcalc.colimit import (
     order_spectrum,
     prime_power_order_witness,
 )
+import kcalc
 from kcalc.odometer import OdometerSpec, k0_odometer
-from oracles import lte_supremum, searched_order_witness
+from oracles import lte_supremum, searched_order_witness, tensor_route_identification
 
 
 def binary_tower(levels=(1, 2, 4), rule=None):
@@ -290,3 +296,51 @@ class TestCuntzIdentification:
     def test_citations_mark_classification_as_cited(self):
         outcome = identify_cuntz_k_theory(3, 2)
         assert any("cited, not computed" in c for c in outcome.citations)
+
+    def test_every_field_matches_the_tensor_route(self):
+        for k in range(2, 14):
+            for depth in range(2, 5):
+                outcome = identify_cuntz_k_theory(k, depth)
+                got = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+                del got["citations"]  # cited, not computed
+                got["moduli"] = outcome.moduli
+                got["stages"] = [
+                    {f.name: getattr(s, f.name) for f in fields(s)}
+                    | {"modulus": s.modulus, "cofactor": s.cofactor}
+                    for s in outcome.stages
+                ]
+                assert got == tensor_route_identification(k, depth), (k, depth)
+
+    def test_huge_bases_answer_within_bounded_memory_and_time(self):
+        # the tower route would form (2**61)**(2**61) - 1 and 10**(6 * 10**30) - 1
+        script = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from kcalc import identify_cuntz_k_theory
+out = []
+for k, depth in ((2**61, 2), (10**6, 6)):
+    o = identify_cuntz_k_theory(k, depth)
+    out.append({
+        "k": k,
+        "k0_order": o.k0_order,
+        "tensored": [s.tensored_modulus for s in o.stages],
+        "unit_class": o.unit_class,
+        "induced": list(o.induced_multipliers),
+        "k1_trivial": o.k1_trivial,
+    })
+json.dump(out, sys.stdout)
+"""
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(kcalc.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20
+        )
+        assert done.returncode == 0, done.stderr
+        for row in json.loads(done.stdout):
+            k = row["k"]
+            assert row["k0_order"] == k - 1
+            assert row["tensored"] and all(t == k - 1 for t in row["tensored"])
+            assert row["unit_class"] == 1
+            assert row["induced"] and all(u == 1 for u in row["induced"])
+            assert row["k1_trivial"]
