@@ -17,7 +17,7 @@ print(f"  shifted once: {c.shift()}")
 print()
 
 k, level, depth, disp = 2, 2, 2, 1
-arrows = enumerate_arrows(k, level, depth, disp)
+arrows = list(enumerate_arrows(k, level, depth, disp))
 print(f"arrows at k={k}, vertex level {level}, depth {depth}, |d| <= {disp}:")
 print(f"  count {len(arrows)} = (2*{disp}+1) * {level} * {k}^{depth + disp}")
 sample = arrows[37]

@@ -345,7 +345,8 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
 
     stages = []
     for i, level in enumerate(levels, start=1):
-        cofactor = (pow(k, level, square) - 1) % square // target  # c mod M
+        # k = 1 + M, so k**M = 1 (mod M**2): the order of k mod M**2 divides M.
+        cofactor = (pow(k, level % target, square) - 1) % square // target  # c mod M
         if any(cofactor % p == 0 for p in target_primes):
             raise StageCongruenceError(f"stage {i}: tensored order exceeds {target}")
         congruences = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Sequence
+from typing import Iterable, Iterator
 
 from .odometer import OdometerSpec
 
@@ -116,7 +116,7 @@ class ArrowClass:
 
 def enumerate_arrows(
     k: int, vertex_level: int, depth: int, max_displacement: int
-) -> list[ArrowClass]:
+) -> Iterator[ArrowClass]:
     """All arrow classes between depth-resolution cylinders, minimal witnesses only.
 
     Covers |displacement| <= max_displacement with shift exponents
@@ -135,9 +135,11 @@ def enumerate_arrows(
 
     The count has a closed form: each displacement contributes
     N * k**(depth + max_displacement) classes, independent of the
-    displacement.  Every class is built, so a shape whose count exceeds
-    2**18 raises ValueError before the first one is; the cap goes once
-    enumeration is lazy.
+    displacement.  The classes are yielded one at a time, so a caller that
+    counts or samples them holds none but those it keeps.  The arguments are
+    checked at call time, before the first class: a bad argument, or a shape
+    with more than 2**18 classes (a bound on time), raises ValueError here,
+    not at the first next().
     """
     if k < 1 or vertex_level < 1 or depth < 0:
         raise ValueError("need k >= 1, vertex_level >= 1 and depth >= 0")
@@ -156,8 +158,14 @@ def enumerate_arrows(
         raise ValueError(
             f"the shape has more than {_ARROW_CAP} arrow classes, the enumeration cap"
         )
+    return _arrows(k, vertex_level, depth, max_displacement)
+
+
+def _arrows(
+    k: int, vertex_level: int, depth: int, max_displacement: int
+) -> Iterator[ArrowClass]:
+    """The classes of ``enumerate_arrows``, in its order, for checked arguments."""
     alphabet = tuple(range(1, k + 1))
-    arrows: list[ArrowClass] = []
     for d in range(-max_displacement, max_displacement + 1):
         for t in range(max_displacement - abs(d) + 1):
             m = max(d, 0) + t
@@ -175,8 +183,7 @@ def enumerate_arrows(
                             continue
                         for tail in tails:
                             target = Cylinder(vertex_level, base_tgt, head + shared + tail)
-                            arrows.append(ArrowClass(source=source, target=target, m=m, n=n))
-    return arrows
+                            yield ArrowClass(source=source, target=target, m=m, n=n)
 
 
 def compose_arrows(first: ArrowClass, second: ArrowClass) -> ArrowClass:
@@ -273,22 +280,27 @@ class AfProduct:
     samples: tuple[ProductArrow, ...]
 
 
-def product_with_af(arrows: Sequence[ArrowClass], block_size: int) -> AfProduct:
+def product_with_af(arrows: Iterable[ArrowClass], block_size: int) -> AfProduct:
     """Product with the full equivalence relation on a block of the given size.
 
-    The product has exactly len(arrows) * block_size**2 arrows; a deterministic
-    sample of them is materialized for inspection and composition tests.
+    The product has exactly (number of arrows) * block_size**2 arrows; the
+    arrows are counted in one pass, and a deterministic sample of the product
+    is materialized from the front of them for inspection and composition
+    tests.
     """
     if block_size < 1:
         raise ValueError("block size must be positive")
+    stream = iter(arrows)
+    # block_size >= 1, so the samples come from the first _AF_SAMPLES arrows.
+    front = tuple(islice(stream, _AF_SAMPLES))
     cells = (
         ProductArrow(a, row, col)
-        for a in arrows
+        for a in front
         for row in range(block_size)
         for col in range(block_size)
     )
     return AfProduct(
-        count=len(arrows) * block_size ** 2,
+        count=(len(front) + sum(1 for _ in stream)) * block_size ** 2,
         block_size=block_size,
         samples=tuple(islice(cells, _AF_SAMPLES)),
     )

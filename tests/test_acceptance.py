@@ -249,7 +249,7 @@ def test_criterion_10_groupoid_truncation():
             for level in range(1, 5):
                 for depth in range(1, 5):
                     for disp in range(0, min(2, depth) + 1):
-                        arrows = enumerate_arrows(k, level, depth, disp)
+                        arrows = list(enumerate_arrows(k, level, depth, disp))
                         closed_form = (2 * disp + 1) * level * k ** (depth + disp)
                         assert len(arrows) == closed_form
                         keys = {

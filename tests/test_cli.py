@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from random import Random
@@ -12,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kcalc
 from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _refuse_unprintable, main
+from kcalc.groupoid import enumerate_arrows
 
 
 def run_cli(capsys, *argv):
@@ -383,6 +389,56 @@ class TestGroupoidCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "k,levels,depth,disp,block,sample",
+        [
+            (2, "1,2,4", 2, 1, 1, 5),
+            (2, "1,2,4,8", 3, 2, 3, 0),
+            (3, "1,3", 2, 2, 2, 40),
+            (3, "2,4", 3, 0, 1, 1000),
+            (2, "1", 0, 0, 4, 2),
+        ],
+    )
+    def test_streamed_report_matches_the_listed_arrows(
+        self, capsys, k, levels, depth, disp, block, sample
+    ):
+        results = run_json(
+            capsys,
+            "groupoid", "--k", str(k), "--levels", levels, "--depth", str(depth),
+            "--max-disp", str(disp), "--af-block", str(block), "--sample", str(sample),
+        )["results"]
+        arrows = list(enumerate_arrows(k, results["vertex_level"], depth, disp))
+
+        def cylinder(c):
+            return {"level": c.level, "base": c.base, "word": list(c.word)}
+
+        assert results["arrow_count"] == len(arrows)
+        assert results["product_arrow_count"] == len(arrows) * block ** 2
+        assert results["sample_arrows"] == [
+            {
+                "source": cylinder(a.source),
+                "target": cylinder(a.target),
+                "m": a.m,
+                "n": a.n,
+                "displacement": a.displacement,
+            }
+            for a in arrows[:sample]
+        ]
+
+    def test_memory_does_not_grow_with_the_arrow_count(self, capsys):
+        # 5 * 3 * 2**10 = 15360 arrow classes; a list of them takes several MB
+        tracemalloc.start()
+        try:
+            code = main(
+                ["groupoid", "--k", "2", "--levels", "3", "--depth", "8", "--max-disp", "2"]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"]["arrow_count"] == 15360
+        assert peak < 2 * 2 ** 20, peak
+
 
 class TestReportPlumbing:
     def test_json_round_trip_all_commands(self, capsys):
@@ -435,6 +491,20 @@ class TestReportPlumbing:
         report = run_json(capsys, "selftest", "--seed", "3")
         assert report["inputs"] == {"seed": 3}
         assert report["results"]["all_ok"]
+
+    def test_python_dash_m_runs_from_a_checkout(self):
+        src = os.path.dirname(os.path.dirname(kcalc.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "kcalc", "selftest", "--table"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0].split() == ["command", "selftest"]
+        assert "all_ok                       True" in lines
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

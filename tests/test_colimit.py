@@ -311,6 +311,17 @@ class TestCuntzIdentification:
                 ]
                 assert got == tensor_route_identification(k, depth), (k, depth)
 
+    def test_stage_residue_reduces_the_level_mod_k_minus_one(self):
+        # k = 1 + M has order dividing M modulo M**2
+        for k in range(2, 41):
+            target = k - 1
+            square = target * target
+            for n in (0, 1, 2, target, k, k + 1, 2 * k - 3, k ** 2, k ** 5 + 7, 10 ** 9 + 9):
+                assert pow(k, n % target, square) == pow(k, n, square), (k, n)
+            for stage in identify_cuntz_k_theory(k, 4).stages:
+                unreduced = (pow(k, stage.level, square) - 1) % square // target
+                assert stage.unit_image == unreduced, (k, stage.stage)
+
     def test_huge_bases_answer_within_bounded_memory_and_time(self):
         # the tower route would form (2**61)**(2**61) - 1 and 10**(6 * 10**30) - 1
         script = """

@@ -1,5 +1,7 @@
 """Tests for cylinders, arrow enumeration and isotropy certificates."""
 
+from collections.abc import Iterator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,7 +93,7 @@ class TestArrowClass:
 
 class TestEnumerate:
     def test_diagonal_at_zero_displacement(self):
-        arrows = enumerate_arrows(2, 3, 2, 0)
+        arrows = list(enumerate_arrows(2, 3, 2, 0))
         assert len(arrows) == 3 * 2 ** 2
         assert all(a.source == a.target and a.m == a.n == 0 for a in arrows)
 
@@ -102,7 +104,7 @@ class TestEnumerate:
             (3, 2, 2, 2),
             (1, 1, 3, 2),
         ):
-            arrows = enumerate_arrows(k, level, depth, disp)
+            arrows = list(enumerate_arrows(k, level, depth, disp))
             assert len(arrows) == (2 * disp + 1) * level * k ** (depth + disp)
 
     def test_degenerate_single_path(self):
@@ -134,10 +136,32 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_arrows(2, 2, 1, 2)
 
+    def test_returns_an_iterator(self):
+        arrows = enumerate_arrows(2, 2, 2, 1)
+        assert isinstance(arrows, Iterator)
+        assert arrow_key(next(arrows)) == arrow_key(next(enumerate_arrows(2, 2, 2, 1)))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2, 2, 1, 2),  # max_displacement > depth
+            (2, 2, 2, -1),
+            (2, 2, -1, 0),
+            (0, 2, 2, 1),
+            (2, 0, 2, 1),
+            (2, 1, 40, 1),  # 3 * 2**41 classes, over the cap
+            (3, 1, 8, 4),  # 9 * 3**12 classes, over the cap
+        ],
+    )
+    def test_bad_shapes_raise_at_call_time(self, args):
+        # the call itself raises: no next() is needed to see the error
+        with pytest.raises(ValueError):
+            enumerate_arrows(*args)
+
 
 class TestComposition:
     def test_compose_adds_displacements(self):
-        arrows = enumerate_arrows(2, 2, 3, 1)
+        arrows = list(enumerate_arrows(2, 2, 3, 1))
         by_source = {}
         for a in arrows:
             by_source.setdefault(arrow_key(a)[:2], []).append(a)
@@ -157,7 +181,7 @@ class TestComposition:
         assert tested > 0
 
     def test_inverse_negates_displacement(self):
-        for a in enumerate_arrows(2, 2, 2, 1)[:200]:
+        for a in list(enumerate_arrows(2, 2, 2, 1))[:200]:
             inv = invert_arrow(a)
             assert inv.displacement == -a.displacement
             assert invert_arrow(inv) == a
@@ -173,7 +197,7 @@ class TestComposition:
 class TestRefinement:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_refine_splits_into_k(self, k):
-        arrows = enumerate_arrows(k, 2, 2, 1)
+        arrows = list(enumerate_arrows(k, 2, 2, 1))
         finer = {arrow_key(a) for a in enumerate_arrows(k, 2, 3, 1)}
         for a in arrows[:300]:
             pieces = refine_arrow(a, k)
@@ -249,12 +273,20 @@ class TestIsotropyCertificate:
 
 class TestAfProduct:
     def test_trivial_block(self):
-        arrows = enumerate_arrows(2, 2, 2, 1)
+        arrows = list(enumerate_arrows(2, 2, 2, 1))
         assert product_with_af(arrows, 1).count == len(arrows)
 
     def test_count_formula(self):
-        arrows = enumerate_arrows(2, 2, 2, 1)[:10]
+        arrows = list(enumerate_arrows(2, 2, 2, 1))[:10]
         assert product_with_af(arrows, 3).count == 90
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_stream_and_list_give_the_same_product(self, block):
+        arrows = list(enumerate_arrows(2, 2, 2, 1))
+        assert product_with_af(iter(arrows), block) == product_with_af(arrows, block)
+        assert product_with_af(enumerate_arrows(2, 2, 2, 1), block) == product_with_af(
+            arrows, block
+        )
 
     def test_huge_block_samples_lazily(self):
         from kcalc.groupoid import ProductArrow
