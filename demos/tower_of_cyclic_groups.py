@@ -3,7 +3,7 @@
 Each stage of an odometer with levels n_1 | n_2 | ... contributes the cyclic
 group Z_{k**n_i - 1}; the connecting maps multiply by the ratio of adjacent
 moduli, and the class of the unit sits at (k**n_i - 1)/(k - 1).  K_1 vanishes,
-certified level by level from an exact linear elimination.
+certified level by level by the closed-form kernel pivot 1 - k**-n_i.
 """
 
 from kcalc import Geometric, OdometerSpec, k0_odometer

@@ -36,13 +36,10 @@ from .colimit import (
     prime_power_order_witness,
 )
 from .odometer import (
-    FiniteStageK0,
     KernelCertificate,
     LocallyConstantFn,
     OdometerKTheory,
     OdometerSpec,
-    connecting_map,
-    finite_stage_k0,
     k0_odometer,
     kernel_is_trivial,
     membership_psi,
@@ -85,13 +82,10 @@ __all__ = [
     "identify_cuntz_k_theory",
     "order_spectrum",
     "prime_power_order_witness",
-    "FiniteStageK0",
     "KernelCertificate",
     "LocallyConstantFn",
     "OdometerKTheory",
     "OdometerSpec",
-    "connecting_map",
-    "finite_stage_k0",
     "k0_odometer",
     "kernel_is_trivial",
     "membership_psi",

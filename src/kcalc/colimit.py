@@ -388,5 +388,6 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
         induced_multipliers=tuple(induced),
         k0_order=target,
         unit_class=1 % target,
-        k1_trivial=all(pow(k, level, k) != 1 for level in levels),
+        # pivot 1 - k**-n: k**n - 1 = -1 (mod k) for n >= 1, so it never vanishes
+        k1_trivial=all(level >= 1 for level in levels),
     )

@@ -4,10 +4,11 @@ A level-n locally constant function is a vector of Z[1/k] values indexed by
 the cyclic group Z_n; the odometer acts by translation.  This module holds
 the translation operator T, the endomorphism (1/k)T, the residue map psi
 that collapses a level to Z_{k**n - 1}, two independent membership criteria
-for the image of id - (1/k)T, exact kernel certificates, the finite-stage
-K_0 data with its connecting maps, and the assembly of the whole tower into
-an inductive limit of cyclic groups.  Finite-level checks of the Hilbert
-module identities behind the path-space picture live here too.
+for the image of id - (1/k)T, exact kernel certificates, and the assembly of
+the whole tower into an inductive limit of cyclic groups, whose connecting
+maps and unit classes are read off the stage moduli k**n - 1.  Finite-level
+checks of the Hilbert module identities behind the path-space picture live
+here too.
 
 Both membership criteria cost O(n) big-integer steps at level n.  psi is
 one Horner pass over the numerators of f, lifted to their common power of
@@ -30,7 +31,6 @@ from .colimit import CyclicColimit, Geometric
 __all__ = [
     "OdometerSpec",
     "LocallyConstantFn",
-    "FiniteStageK0",
     "KernelCertificate",
     "OdometerKTheory",
     "SeriesMembership",
@@ -43,8 +43,6 @@ __all__ = [
     "membership_series",
     "kernel_is_trivial",
     "kernel_certificate",
-    "finite_stage_k0",
-    "connecting_map",
     "k0_odometer",
     "verify_correspondence_identities",
 ]
@@ -258,53 +256,9 @@ def kernel_is_trivial(k: int, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class FiniteStageK0:
-    """K_0 data of one finite stage: Z_{k**n - 1} with its distinguished classes.
-
-    The class of the single-residue indicator at 0 is the generator (psi
-    sends it to 1); the unit class sits at (k**n - 1)/(k - 1).
-    """
-
-    k: int
-    level: int
-    modulus: int
-    unit_class: CyclicElement
-    psi_generator: CyclicElement
-
-
-def finite_stage_k0(k: int, n: int) -> FiniteStageK0:
-    if k < 2 or n < 1:
-        raise ValueError("need k >= 2 and n >= 1")
-    m = k ** n - 1
-    return FiniteStageK0(
-        k=k,
-        level=n,
-        modulus=m,
-        unit_class=CyclicElement(m, m // (k - 1)),
-        psi_generator=CyclicElement(m, 1),
-    )
-
-
-def connecting_map(k: int, n_coarse: int, n_fine: int) -> CyclicHom:
-    """The injective map Z_{k**n_coarse - 1} -> Z_{k**n_fine - 1} between stages.
-
-    Multiplication by (k**n_fine - 1)/(k**n_coarse - 1); requires
-    n_coarse | n_fine.  It carries unit class to unit class.
-    """
-    if k < 2 or n_coarse < 1:
-        raise ValueError("need k >= 2 and positive levels")
-    if n_fine % n_coarse != 0:
-        raise ValueError(f"invalid stage pair: {n_coarse} does not divide {n_fine}")
-    m_coarse = k ** n_coarse - 1
-    m_fine = k ** n_fine - 1
-    return CyclicHom(m_coarse, m_fine, (m_fine // m_coarse) % m_fine)
-
-
-@dataclass(frozen=True)
 class OdometerKTheory:
     """K-theory of the odometer tower: the K_0 colimit and K_1 certificates."""
 
-    spec: OdometerSpec
     k0: CyclicColimit
     kernel_certificates: tuple[KernelCertificate, ...]
 
@@ -316,25 +270,24 @@ class OdometerKTheory:
 def k0_odometer(spec: OdometerSpec) -> OdometerKTheory:
     """Assemble the K_0 colimit prefix of the tower, with unit thread.
 
-    Stage i is Z_{k**n_i - 1}; adjacent stages are connected by the injective
-    multiplication maps of ``connecting_map``; the unit classes form a
-    compatible thread.  K_1 vanishes, certified per level by the exact kernel
-    computation.
+    Stage i is Z_{m_i} with m_i = k**n_i - 1, the finite-stage K_0 group
+    (psi sends the indicator of residue 0 to its generator 1).  Each modulus
+    is formed once, and the rest is read off the moduli: n_i | n_{i+1}, so
+    m_i | m_{i+1}, and the connecting map multiplies by the geometric sum
+    m_{i+1} / m_i; the unit class m_i / (k - 1) = psi(1) is carried to the
+    next one.  K_1 vanishes, certified per level by the closed-form kernel
+    pivot 1 - k**-n.
     """
     k = spec.k
     moduli = tuple(k ** n - 1 for n in spec.levels)
-    maps = tuple(
-        connecting_map(k, a, b) for a, b in zip(spec.levels, spec.levels[1:])
-    )
-    units = tuple(finite_stage_k0(k, n).unit_class for n in spec.levels)
     certificates = tuple(kernel_certificate(k, n) for n in spec.levels)
     colimit = CyclicColimit(
         moduli=moduli,
-        maps=maps,
-        unit_thread=units,
+        maps=tuple(CyclicHom(a, b, b // a) for a, b in zip(moduli, moduli[1:])),
+        unit_thread=tuple(CyclicElement(m, m // (k - 1)) for m in moduli),
         level_rule=spec.rule,
     )
-    return OdometerKTheory(spec=spec, k0=colimit, kernel_certificates=certificates)
+    return OdometerKTheory(k0=colimit, kernel_certificates=certificates)
 
 
 class CorrespondenceIdentityError(Exception):

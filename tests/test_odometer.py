@@ -13,8 +13,6 @@ from kcalc.arith import KPowerRational
 from kcalc.odometer import (
     LocallyConstantFn,
     OdometerSpec,
-    connecting_map,
-    finite_stage_k0,
     k0_odometer,
     kernel_certificate,
     kernel_is_trivial,
@@ -41,6 +39,17 @@ def random_fn(rng, k, n, span=20, max_expo=4):
             for _ in range(n)
         ),
     )
+
+
+def tower_stage(k, n):
+    """Stage Z_{k**n - 1} of the tower and its unit class."""
+    tower = k0_odometer(OdometerSpec(k, (n,))).k0
+    return tower.moduli[0], tower.unit_thread[0]
+
+
+def tower_map(k, n_coarse, n_fine):
+    """The tower's connecting map Z_{k**n_coarse - 1} -> Z_{k**n_fine - 1}."""
+    return k0_odometer(OdometerSpec(k, (n_coarse, n_fine))).k0.maps[0]
 
 
 @st.composite
@@ -171,7 +180,7 @@ class TestPsi:
         rng = Random(10)
         for k in (2, 3, 5):
             for n, n_fine in ((1, 2), (2, 4), (2, 6), (3, 12)):
-                eta = connecting_map(k, n, n_fine)
+                eta = tower_map(k, n, n_fine)
                 for _ in range(25):
                     f = random_fn(rng, k, n)
                     fine = LocallyConstantFn(k, f.values * (n_fine // n))
@@ -312,52 +321,44 @@ class TestKernel:
 
 class TestFiniteStage:
     def test_example_base_three(self):
-        stage = finite_stage_k0(3, 1)
-        assert stage.modulus == 2
-        assert stage.unit_class == CyclicElement(2, 1)
-        assert stage.psi_generator == CyclicElement(2, 1)
+        modulus, unit = tower_stage(3, 1)
+        assert modulus == 2
+        assert unit == CyclicElement(2, 1)
+        assert psi(LocallyConstantFn.delta(3, 1, 0)) == CyclicElement(2, 1)
 
     def test_example_base_two_level_two(self):
-        stage = finite_stage_k0(2, 2)
-        assert stage.modulus == 3
-        assert stage.unit_class == CyclicElement(3, 0)
+        modulus, unit = tower_stage(2, 2)
+        assert modulus == 3
+        assert unit == CyclicElement(3, 0)
 
     def test_trivial_stage(self):
-        stage = finite_stage_k0(2, 1)
-        assert stage.modulus == 1
-        assert stage.unit_class == CyclicElement(1, 0)
+        modulus, unit = tower_stage(2, 1)
+        assert modulus == 1
+        assert unit == CyclicElement(1, 0)
 
     def test_unit_class_is_psi_of_constant_one(self):
         for k in (2, 3, 4, 6):
-            for n in (1, 2, 3, 4):
-                ones = LocallyConstantFn.from_fractions(k, [1] * n)
-                assert psi(ones) == finite_stage_k0(k, n).unit_class
+            levels = (1, 2, 4, 12)
+            units = k0_odometer(OdometerSpec(k, levels)).k0.unit_thread
+            for n, unit in zip(levels, units):
+                assert psi(LocallyConstantFn.from_fractions(k, [1] * n)) == unit
 
 
 class TestConnectingMap:
     def test_example_two_to_four(self):
-        h = connecting_map(2, 2, 4)
+        h = tower_map(2, 2, 4)
         assert (h.source_modulus, h.target_modulus, h.multiplier) == (3, 15, 5)
         assert h(CyclicElement(3, 1)) == CyclicElement(15, 5)
 
     def test_example_base_three(self):
-        h = connecting_map(3, 1, 2)
+        h = tower_map(3, 1, 2)
         assert (h.source_modulus, h.target_modulus, h.multiplier) == (2, 8, 4)
-
-    def test_identity_stage_pair(self):
-        h = connecting_map(5, 3, 3)
-        assert h == connecting_map(5, 3, 3)
-        assert h(CyclicElement(124, 7)) == CyclicElement(124, 7)
-
-    def test_invalid_pair(self):
-        with pytest.raises(ValueError):
-            connecting_map(2, 2, 5)
 
     def test_functorial(self):
         for k in (2, 3, 5):
             for a, b, c in ((1, 2, 4), (1, 3, 6), (2, 4, 8), (1, 2, 8)):
-                first, second = connecting_map(k, a, b), connecting_map(k, b, c)
-                composite = connecting_map(k, a, c)
+                first, second = k0_odometer(OdometerSpec(k, (a, b, c))).k0.maps
+                composite = tower_map(k, a, c)
                 assert (first.source_modulus, second.target_modulus) == (
                     composite.source_modulus,
                     composite.target_modulus,
@@ -370,15 +371,13 @@ class TestConnectingMap:
     def test_maps_unit_to_unit(self):
         for k in (2, 3, 4, 5, 6):
             for a, b in ((1, 2), (2, 4), (1, 3), (3, 12)):
-                h = connecting_map(k, a, b)
-                assert h(finite_stage_k0(k, a).unit_class) == (
-                    finite_stage_k0(k, b).unit_class
-                )
+                h = tower_map(k, a, b)
+                assert h(tower_stage(k, a)[1]) == tower_stage(k, b)[1]
 
     def test_injective(self):
         for k in (2, 3, 6):
             for a, b in ((1, 2), (2, 6), (1, 4)):
-                assert connecting_map(k, a, b).is_injective()
+                assert tower_map(k, a, b).is_injective()
 
 
 class TestK0Odometer:
