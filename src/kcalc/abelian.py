@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import SupernaturalNumber, prime_factors, valuation
+from .arith import SupernaturalNumber
 
 __all__ = [
     "CyclicElement",
@@ -108,10 +108,8 @@ class LocalizedQuotient:
                 f"{fr} does not lie in the localized group "
                 f"(constraint {self.constraint.describe()})"
             )
-        num, den = fr.numerator, fr.denominator
-        if self.modulus == 1:
-            return CyclicElement(1, 0)
-        return CyclicElement(self.modulus, num * pow(den, -1, self.modulus))
+        inverse = pow(fr.denominator, -1, self.modulus)
+        return CyclicElement(self.modulus, fr.numerator * inverse)
 
 
 def quotient_localized_by_m(s: SupernaturalNumber, m: int) -> LocalizedQuotient:
@@ -148,22 +146,13 @@ class TensorReduction:
 def tensor_cyclic_with_localized(m: int, s: SupernaturalNumber) -> TensorReduction:
     """Identify Z_m tensor (localized group of type s) with a cyclic group.
 
-    The surviving modulus keeps p^{v_p(m)} exactly when v_p(s) is finite;
-    primes with infinite multiplicity make the localized group p-divisible
-    and are cancelled.
+    The surviving modulus is ``s.finite_part(m)``: it keeps p^{v_p(m)}
+    exactly when v_p(s) is finite, and primes with infinite multiplicity
+    make the localized group p-divisible and are cancelled.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if s.kind == "finite":
-        bar = m
-        for p, mult in s.finite_powers.items():
-            if mult is None:
-                while bar % p == 0:
-                    bar //= p
-    else:
-        bar = 1
-        for p in prime_factors(s.complement_radical):
-            bar *= p ** valuation(m, p) if m % p == 0 else 1
+    bar = s.finite_part(m)
     return TensorReduction(
         source_modulus=m,
         modulus=bar,

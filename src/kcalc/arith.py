@@ -353,7 +353,11 @@ class KPowerRational:
 class SupernaturalNumber:
     """A divisibility type: formal product of primes with multiplicities in N or infinity.
 
-    Two constructors cover everything the toolkit needs:
+    One format holds every such number: the multiplicities of finitely many
+    listed primes, plus one multiplicity (0, or None for infinity) shared by
+    every prime not listed.  A listed multiplicity always differs from the
+    shared one, so equal numbers have equal fields.  Two constructors cover
+    everything the toolkit needs:
 
     * ``from_powers({p: e or None})`` -- an explicit description; ``None``
       means infinite multiplicity, primes not listed have multiplicity 0.
@@ -361,20 +365,16 @@ class SupernaturalNumber:
       multiplicity, every prime dividing d has multiplicity 0.
     """
 
-    __slots__ = ("_kind", "_powers", "_coprime_to")
-
-    _FINITE = "finite"
-    _COMPLEMENT = "coprime_complement"
+    __slots__ = ("_powers", "_rest")
 
     def __init__(self):
         raise TypeError("use SupernaturalNumber.from_powers or .coprime_complement")
 
     @classmethod
-    def _make(cls, kind, powers, coprime_to) -> "SupernaturalNumber":
+    def _make(cls, powers, rest) -> "SupernaturalNumber":
         self = object.__new__(cls)
-        self._kind = kind
         self._powers = powers
-        self._coprime_to = coprime_to
+        self._rest = rest
         return self
 
     @classmethod
@@ -389,16 +389,13 @@ class SupernaturalNumber:
                 raise ValueError("multiplicity must be non-negative or None")
             elif e > 0:
                 clean[p] = e
-        return cls._make(cls._FINITE, clean, None)
+        return cls._make(clean, 0)
 
     @classmethod
     def coprime_complement(cls, d: int) -> "SupernaturalNumber":
         if d < 1:
             raise ValueError("d must be positive")
-        rad = 1
-        for p in prime_factors(d):
-            rad *= p
-        return cls._make(cls._COMPLEMENT, None, rad)
+        return cls._make(dict.fromkeys(prime_factors(d), 0), None)
 
     @classmethod
     def infinite_powers_of(cls, k: int) -> "SupernaturalNumber":
@@ -407,61 +404,51 @@ class SupernaturalNumber:
             raise ValueError("k must be >= 2")
         return cls.from_powers({p: None for p in prime_factors(k)})
 
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def finite_powers(self) -> dict[int, int | None]:
-        if self._kind != self._FINITE:
-            raise ValueError("not a finitely described supernatural number")
-        return dict(self._powers)
-
-    @property
-    def complement_radical(self) -> int:
-        if self._kind != self._COMPLEMENT:
-            raise ValueError("not a coprime-complement supernatural number")
-        return self._coprime_to
-
     def multiplicity(self, p: int) -> int | None:
         """v_p of this supernatural number; None encodes infinity."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if self._kind == self._FINITE:
-            return self._powers.get(p, 0)
-        return 0 if self._coprime_to % p == 0 else None
+        return self._powers.get(p, self._rest)
+
+    def _split(self, m: int) -> tuple[list[tuple[int, int, int | None]], int]:
+        """(p, v_p(m), multiplicity) for each listed prime p, and the rest of m."""
+        if m < 1:
+            raise ValueError("m must be positive")
+        listed = []
+        for p, e in self._powers.items():
+            v = 0
+            while m % p == 0:
+                m //= p
+                v += 1
+            listed.append((p, v, e))
+        return listed, m
 
     def admits(self, m: int) -> bool:
         """True iff every prime p satisfies v_p(m) <= v_p(self)."""
-        if m < 1:
-            raise ValueError("m must be positive")
-        if self._kind == self._COMPLEMENT:
-            return math.gcd(m, self._coprime_to) == 1
-        rem = m
-        for p, mult in self._powers.items():
-            if mult is None:
-                while rem % p == 0:
-                    rem //= p
-            else:
-                for _ in range(mult):
-                    if rem % p:
-                        break
-                    rem //= p
-                if rem % p == 0:
-                    return False
-        return rem == 1
+        listed, rest = self._split(m)
+        return all(e is None or v <= e for _, v, e in listed) and (
+            rest == 1 or self._rest is None
+        )
 
     def coprime_to_all_of(self, m: int) -> bool:
         """True iff every prime of m has multiplicity 0 here."""
-        if m < 1:
-            raise ValueError("m must be positive")
-        if self._kind == self._FINITE:
-            return all(m % p != 0 for p in self._powers)
-        return radical_divides(m, self._coprime_to)
+        listed, rest = self._split(m)
+        return all(v == 0 or e == 0 for _, v, e in listed) and (
+            rest == 1 or self._rest == 0
+        )
+
+    def finite_part(self, m: int) -> int:
+        """The part of m at the primes whose multiplicity here is finite."""
+        listed, rest = self._split(m)
+        part = 1 if self._rest is None else rest
+        for p, v, e in listed:
+            if e is not None:
+                part *= p ** v
+        return part
 
     def describe(self) -> str:
-        if self._kind == self._COMPLEMENT:
-            return f"complement({self._coprime_to})"
+        if self._rest is None:
+            return f"complement({math.prod(self._powers)})"
         if not self._powers:
             return "1"
         parts = []
@@ -473,16 +460,10 @@ class SupernaturalNumber:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SupernaturalNumber):
             return NotImplemented
-        if self._kind != other._kind:
-            return False
-        if self._kind == self._FINITE:
-            return self._powers == other._powers
-        return self._coprime_to == other._coprime_to
+        return self._powers == other._powers and self._rest == other._rest
 
     def __hash__(self) -> int:
-        if self._kind == self._FINITE:
-            return hash((self._kind, frozenset(self._powers.items())))
-        return hash((self._kind, self._coprime_to))
+        return hash((frozenset(self._powers.items()), self._rest))
 
     def __repr__(self) -> str:
         return f"SupernaturalNumber({self.describe()})"

@@ -159,7 +159,7 @@ def _cmd_k0(args) -> dict:
         [
             "tower of cyclic groups from the finite-stage residue map: computed",
             "connecting multipliers (geometric sums): computed",
-            "K_1 = 0 via exact kernel elimination per level: computed",
+            "K_1 = 0 via the closed-form kernel pivot 1 - k^-n per level: computed",
         ],
         t0,
     )

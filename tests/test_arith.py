@@ -20,6 +20,7 @@ from kcalc.arith import (
     radical_divides,
     valuation,
 )
+from kcalc.abelian import tensor_cyclic_with_localized
 from kcalc.colimit import prime_power_order_witness
 from oracles import naive_multiplicative_order, trial_division_factorize
 
@@ -283,6 +284,30 @@ class TestSupernatural:
             SupernaturalNumber.from_powers({4: 1})
         with pytest.raises(ValueError):
             SupernaturalNumber.from_powers({2: -1})
+
+
+    # Each case pairs a number with its multiplicities read off the constructor's argument.
+    CASES = st.one_of(
+        st.dictionaries(
+            st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19]), st.none() | st.integers(0, 4)
+        ).map(lambda powers: (SupernaturalNumber.from_powers(powers), lambda p: powers.get(p, 0))),
+        st.integers(1, 10 ** 4).map(
+            lambda d: (SupernaturalNumber.coprime_complement(d), lambda p: 0 if d % p == 0 else None)
+        ),
+    )
+
+    @given(CASES, st.integers(1, 10 ** 4))
+    @settings(max_examples=300)
+    def test_matches_the_valuations_of_m(self, case, m):
+        s, multiplicity = case
+        valuations = trial_division_factorize(m)
+        assert all(s.multiplicity(p) == multiplicity(p) for p in valuations)
+        assert s.admits(m) == all(
+            multiplicity(p) is None or v <= multiplicity(p) for p, v in valuations.items()
+        )
+        assert s.coprime_to_all_of(m) == all(multiplicity(p) == 0 for p in valuations)
+        finite = prod(p ** v for p, v in valuations.items() if multiplicity(p) is not None)
+        assert tensor_cyclic_with_localized(m, s).modulus == finite
 
 
 class TestRadicalDivides:

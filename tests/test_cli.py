@@ -41,6 +41,15 @@ class TestK0Command:
         assert report["results"]["multipliers"] == [3, 5]
         assert report["results"]["k1"] == 0
 
+    def test_citations_name_the_closed_form_pivot(self, capsys):
+        report = run_json(capsys, "k0", "--k", "2", "--levels", "1,2,4")
+        assert report["citations"] == [
+            "tower of cyclic groups from the finite-stage residue map: computed",
+            "connecting multipliers (geometric sums): computed",
+            "K_1 = 0 via the closed-form kernel pivot 1 - k^-n per level: computed",
+        ]
+        assert report["results"]["kernel_pivots"] == ["1/2", "3/4", "15/16"]
+
     def test_single_level(self, capsys):
         report = run_json(capsys, "k0", "--k", "3", "--levels", "1")
         assert report["results"]["moduli"] == [2]

@@ -1,0 +1,25 @@
+"""The library imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "kcalc").glob("*.py"))
+
+
+def test_every_absolute_import_is_stdlib_or_kcalc():
+    assert SOURCES
+    foreign = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "kcalc" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}:{node.lineno}: {name}")
+    assert foreign == []
