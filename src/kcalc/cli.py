@@ -1,10 +1,15 @@
 """Command-line front end emitting versioned JSON reports (or plain tables).
 
 Subcommands: k0, ok, membership, distinguish, witness, groupoid, selftest.
-Exit codes: 0 success, 2 usage or precondition violation, 3 factorization
-budget exhausted.  Reports are deterministic for fixed inputs (apart from
-the timing field; only selftest takes ``--seed``) and carry the schema tag
-"kcalc/1".
+Exit codes: 0 success, 1 a selftest check failed (its report is printed), 2
+usage or precondition violation, 3 factorization budget exhausted.  Reports
+are deterministic for fixed inputs (apart from the timing field; only
+selftest takes ``--seed``) and carry the schema tag "kcalc/1".
+
+Each handler returns only its results and citations.  ``main`` times the
+handler and builds the report around them: the schema tag, the subcommand
+name, the inputs its subparser names with ``set_defaults(inputs=...)``, and
+the timing.
 """
 
 from __future__ import annotations
@@ -66,8 +71,8 @@ def _spec_from_args(args) -> OdometerSpec:
         return OdometerSpec(args.k, _parse_levels(args.levels))
     if args.rule:
         rule = _parse_rule(args.rule)
-        if args.stages > 0:  # bound the last level before any level is formed
-            _refuse_unprintable_stage(args.k, rule, args.stages)
+        if args.stages > 0:  # bound the stage count before any level is formed
+            _refuse_unprintable_stage(args.k, args.stages)
         return OdometerSpec(args.k, rule.levels(args.stages), rule=rule)
     raise ValueError("one of --levels or --rule is required")
 
@@ -94,25 +99,26 @@ def _refuse_unprintable(k: int, n: int, offset: int) -> None:
     if n * b < bits:
         return
     if n * (b - 1) >= bits or k ** n - offset >= ceiling:
+        if n >= ceiling:  # a rule's level too long to print itself
+            raise _too_long()
         raise ValueError(
             f"{k}^{n}{' - 1' if offset else ''} has more than {limit} digits,"
             " more than a report can print; use a smaller k or level"
         )
 
 
-def _refuse_unprintable_stage(k: int, rule: Geometric, stage: int) -> None:
-    """Refuse a rule's stage whose level n is so long that k**n cannot print.
+def _refuse_unprintable_stage(k: int, stage: int) -> None:
+    """Refuse a rule's stage count so large that its last level n cannot print k**n.
 
     k**n >= 2**n exceeds 10**limit once n reaches the bit length of
     10**limit.  Levels at least double per stage, so a stage past the bit
-    length of that bit length is refused before its level is formed.  The
-    exact check on shorter levels is ``_refuse_unprintable``'s.
+    length of that bit length is refused before any level is formed.  The
+    exact check on the last level of a shorter rule is ``_refuse_unprintable``'s.
     """
     limit = sys.get_int_max_str_digits()
     if limit == 0:
         return
-    bits = _digit_ceiling(limit).bit_length()
-    if stage - 1 >= bits.bit_length() or rule.level(stage) >= bits:
+    if stage - 1 >= _digit_ceiling(limit).bit_length().bit_length():
         raise ValueError(
             f"{k}^n at stage {stage} of the rule has more than {limit} digits,"
             " more than a report can print; use a smaller k or fewer stages"
@@ -126,19 +132,7 @@ def _too_long() -> ValueError:
     )
 
 
-def _report(command: str, inputs: dict, results: dict, citations: list[str], t0: float) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "citations": citations,
-        "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
-    }
-
-
-def _cmd_k0(args) -> dict:
-    t0 = time.perf_counter()
+def _cmd_k0(args) -> tuple[dict, list[str]]:
     spec = _spec_from_args(args)
     _refuse_unprintable(spec.k, spec.levels[-1], 0)  # the kernel pivot's denominator
     result = k0_odometer(spec)
@@ -152,21 +146,14 @@ def _cmd_k0(args) -> dict:
         "k1": 0 if result.k1_trivial else "unknown",
         "kernel_pivots": [str(c.pivot) for c in result.kernel_certificates],
     }
-    return _report(
-        "k0",
-        {"k": args.k, "levels": args.levels, "rule": args.rule, "stages": args.stages},
-        results,
-        [
-            "tower of cyclic groups from the finite-stage residue map: computed",
-            "connecting multipliers (geometric sums): computed",
-            "K_1 = 0 via the closed-form kernel pivot 1 - k^-n per level: computed",
-        ],
-        t0,
-    )
+    return results, [
+        "tower of cyclic groups from the finite-stage residue map: computed",
+        "connecting multipliers (geometric sums): computed",
+        "K_1 = 0 via the closed-form kernel pivot 1 - k^-n per level: computed",
+    ]
 
 
-def _cmd_ok(args) -> dict:
-    t0 = time.perf_counter()
+def _cmd_ok(args) -> tuple[dict, list[str]]:
     top = max(args.depth - 1, 0)
     _refuse_unprintable(args.k, top, 0)  # the last level, k**(depth - 1)
     _refuse_unprintable(args.k, args.k ** top, 1)  # its modulus
@@ -188,17 +175,10 @@ def _cmd_ok(args) -> dict:
             " Kirchberg-Phillips (cited)"
         ),
     }
-    return _report(
-        "ok",
-        {"k": args.k, "depth": args.depth},
-        results,
-        list(outcome.citations),
-        t0,
-    )
+    return results, list(outcome.citations)
 
 
-def _cmd_membership(args) -> dict:
-    t0 = time.perf_counter()
+def _cmd_membership(args) -> tuple[dict, list[str]]:
     _refuse_unprintable(args.k, args.n, 1)
     try:
         fractions = [Fraction(part) for part in args.values.split(",")]
@@ -224,20 +204,13 @@ def _cmd_membership(args) -> dict:
         "member_by_series": by_series.member,
         "witness": witness,
     }
-    return _report(
-        "membership",
-        {"k": args.k, "n": args.n, "values": args.values},
-        results,
-        [
-            "residue criterion (psi vanishing): computed",
-            "geometric-series criterion with exact witness: computed",
-        ],
-        t0,
-    )
+    return results, [
+        "residue criterion (psi vanishing): computed",
+        "geometric-series criterion with exact witness: computed",
+    ]
 
 
-def _cmd_distinguish(args) -> dict:
-    t0 = time.perf_counter()
+def _cmd_distinguish(args) -> tuple[dict, list[str]]:
     rule_a = _parse_rule(args.rule_a)
     rule_b = _parse_rule(args.rule_b)
     verdict = distinguish_colimits(args.k, rule_a, rule_b, budget_bits=args.budget_bits)
@@ -253,17 +226,10 @@ def _cmd_distinguish(args) -> dict:
                 "first_stage_with_order": verdict.first_stage_with_order,
             }
         )
-    return _report(
-        "distinguish",
-        {"k": args.k, "rule_a": args.rule_a, "rule_b": args.rule_b},
-        results,
-        ["prime-power order witness with multiplicative-order certificate: computed"],
-        t0,
-    )
+    return results, ["prime-power order witness with multiplicative-order certificate: computed"]
 
 
-def _cmd_witness(args) -> dict:
-    t0 = time.perf_counter()
+def _cmd_witness(args) -> tuple[dict, list[str]]:
     w = prime_power_order_witness(args.k, args.p, args.s, budget_bits=args.budget_bits)
     results = {
         "q": w.q,
@@ -272,21 +238,14 @@ def _cmd_witness(args) -> dict:
         "order_of_k": w.order,
         "divides": f"{w.prime_power} | {args.k}^b - 1  iff  {args.p}^{args.s} | b",
     }
-    return _report(
-        "witness",
-        {"k": args.k, "p": args.p, "s": args.s},
-        results,
-        ["existence by prime factorization; order certificate verified: computed"],
-        t0,
-    )
+    return results, ["existence by prime factorization; order certificate verified: computed"]
 
 
 def _cylinder_json(c) -> dict:
     return {"level": c.level, "base": c.base, "word": list(c.word)}
 
 
-def _cmd_groupoid(args) -> dict:
-    t0 = time.perf_counter()
+def _cmd_groupoid(args) -> tuple[dict, list[str]]:
     if args.sample < 0:
         raise ValueError("--sample must be non-negative")
     spec = OdometerSpec(args.k, _parse_levels(args.levels))
@@ -318,27 +277,14 @@ def _cmd_groupoid(args) -> dict:
         "af_block": args.af_block,
         "product_arrow_count": af.count,
     }
-    return _report(
-        "groupoid",
-        {
-            "k": args.k,
-            "levels": args.levels,
-            "depth": args.depth,
-            "max_disp": args.max_disp,
-            "af_block": args.af_block,
-        },
-        results,
-        [
-            "arrow enumeration at cylinder resolution: computed",
-            "freeness of the finite-level rotation (no isotropy bound): computed",
-            "product with a full equivalence-relation block: computed",
-        ],
-        t0,
-    )
+    return results, [
+        "arrow enumeration at cylinder resolution: computed",
+        "freeness of the finite-level rotation (no isotropy bound): computed",
+        "product with a full equivalence-relation block: computed",
+    ]
 
 
-def _cmd_selftest(args) -> dict:
-    t0 = time.perf_counter()
+def _cmd_selftest(args) -> tuple[dict, list[str]]:
     checks: list[tuple[str, bool]] = []
 
     def check(name: str, fn) -> None:
@@ -407,7 +353,7 @@ def _cmd_selftest(args) -> dict:
         "total": len(checks),
         "all_ok": passed == len(checks),
     }
-    return _report("selftest", {"seed": args.seed}, results, ["library self checks"], t0)
+    return results, ["library self checks"]
 
 
 def _render(report: dict, table: bool) -> str:
@@ -465,34 +411,34 @@ def build_parser() -> argparse.ArgumentParser:
     tower.add_argument("--rule", help="geometric rule 'c,r' or 'geometric:c,r'")
     p.add_argument("--stages", type=int, default=4, help="stages to expand a rule to")
     common(p)
-    p.set_defaults(handler=_cmd_k0)
+    p.set_defaults(handler=_cmd_k0, inputs=("k", "levels", "rule", "stages"))
 
     p = sub.add_parser("ok", help="identify the tensored tower with a Cuntz algebra")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--depth", type=int, default=4)
     common(p)
-    p.set_defaults(handler=_cmd_ok)
+    p.set_defaults(handler=_cmd_ok, inputs=("k", "depth"))
 
     p = sub.add_parser("membership", help="image membership for id - (1/k)T")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--values", required=True, help="comma-separated values in Z[1/k]")
     common(p)
-    p.set_defaults(handler=_cmd_membership)
+    p.set_defaults(handler=_cmd_membership, inputs=("k", "n", "values"))
 
     p = sub.add_parser("distinguish", help="compare two geometric towers")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rule-a", required=True, dest="rule_a")
     p.add_argument("--rule-b", required=True, dest="rule_b")
     common(p, budget=True)
-    p.set_defaults(handler=_cmd_distinguish)
+    p.set_defaults(handler=_cmd_distinguish, inputs=("k", "rule_a", "rule_b"))
 
     p = sub.add_parser("witness", help="prime-power order witness")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     common(p, budget=True)
-    p.set_defaults(handler=_cmd_witness)
+    p.set_defaults(handler=_cmd_witness, inputs=("k", "p", "s"))
 
     p = sub.add_parser("groupoid", help="truncated path-space groupoid data")
     p.add_argument("--k", type=int, required=True)
@@ -502,12 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--af-block", type=int, default=1, dest="af_block")
     p.add_argument("--sample", type=int, default=5, help="sample arrows to include")
     common(p)
-    p.set_defaults(handler=_cmd_groupoid)
+    p.set_defaults(handler=_cmd_groupoid, inputs=("k", "levels", "depth", "max_disp", "af_block"))
 
     p = sub.add_parser("selftest", help="quick library self checks")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     common(p)
-    p.set_defaults(handler=_cmd_selftest)
+    p.set_defaults(handler=_cmd_selftest, inputs=("seed",))
 
     return parser
 
@@ -532,11 +478,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.subcommand in ("k0", "ok", "membership", "witness") and args.k < 2:
+    if getattr(args, "k", 2) < 2:
         print("error: k must be >= 2", file=sys.stderr)
         return EXIT_USAGE
+    t0 = time.perf_counter()
     try:
-        report = args.handler(args)
+        results, citations = args.handler(args)
+        report = {
+            "schema": SCHEMA,
+            "command": args.subcommand,
+            "inputs": {name: getattr(args, name) for name in args.inputs},
+            "results": results,
+            "citations": citations,
+            "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
+        }
         _emit(report, args)
     except FactorizationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -544,7 +499,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.subcommand == "selftest" and not report["results"]["all_ok"]:
+    if args.subcommand == "selftest" and not results["all_ok"]:
         return 1
     return EXIT_OK
 

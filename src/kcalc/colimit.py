@@ -240,7 +240,7 @@ def distinguish_colimits(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    for p in prime_factors(rule_a.first * rule_a.ratio):
+    for p in prime_factors(rule_a.first * rule_a.ratio, budget_bits=budget_bits):
         if rule_b.ratio % p == 0:
             continue
         reach_b = valuation(rule_b.first, p)

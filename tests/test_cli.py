@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcalc
+from kcalc import cli
 from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _refuse_unprintable, main
 from kcalc.groupoid import enumerate_arrows
 
@@ -218,6 +219,17 @@ class TestOversizeReports:
         err = self.assert_refused(capsys, "k0", "--k", "10", "--levels", "4300")
         assert "10^4300 " in err
         self.assert_refused(capsys, "k0", "--k", "2", "--rule", "1,2", "--stages", "15")
+        # 10 stages pass the stage-count bound; the last level, 3**9, is too long for 2**n
+        err = self.assert_refused(capsys, "k0", "--k", "2", "--rule", "1,3", "--stages", "10")
+        assert err == (
+            "error: 2^19683 has more than 4300 digits,"
+            " more than a report can print; use a smaller k or level\n"
+        )
+        # the last level, (10**1000)**5, has 5001 digits, so the message cannot name it
+        err = self.assert_refused(capsys, "k0", "--k", "2", "--rule", f"1,{10 ** 1000}", "--stages", "6")
+        assert err == (
+            "error: the report holds an integer of more than 4300 digits, more than it can print\n"
+        )
 
     def test_ok_boundary(self, capsys):
         report = run_json(capsys, "ok", "--k", "10", "--depth", "4")
@@ -280,6 +292,17 @@ class TestDistinguishCommand:
                 assert code == EXIT_USAGE
                 assert out == ""
                 assert err == f"error: malformed geometric rule: {rule!r} (expected 'c,r')\n"
+
+    def test_budget_bits_guards_the_rule_factorization(self, capsys):
+        # rule A's c * r = 3 * 2**100 has 102 bits, over the default guard of 96
+        argv = ("distinguish", "--k", "2", "--rule-a", str(2 ** 100) + ",3", "--rule-b", "1,3")
+        report = run_json(capsys, *argv, "--budget-bits", "200")
+        assert report["results"]["verdict"] == "distinct"
+        assert report["results"]["witness_value"] == 3
+        code, out, err = run_cli(capsys, *argv, "--budget-bits", "8")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == "error: factorization out of budget: input has 102 bits, guard is 8 bits\n"
 
     def test_deep_witness_refused_before_the_power_is_formed(self, capsys):
         # the witness for 2**41 needs Phi_{2^41}(2), a number of 2**40 + 1 bits
@@ -451,18 +474,36 @@ class TestGroupoidCommand:
 
 class TestReportPlumbing:
     def test_json_round_trip_all_commands(self, capsys):
+        # --budget-bits and --sample shape the computation but are not report inputs
         invocations = [
-            ("k0", "--k", "3", "--levels", "1,3"),
-            ("ok", "--k", "3", "--depth", "3"),
-            ("membership", "--k", "2", "--n", "2", "--values", "1,0"),
-            ("distinguish", "--k", "2", "--rule-a", "1,2", "--rule-b", "1,3"),
-            ("witness", "--k", "3", "--p", "2", "--s", "1"),
-            ("groupoid", "--k", "2", "--levels", "1,2,4", "--depth", "2", "--max-disp", "1"),
+            (("k0", "--k", "3", "--levels", "1,3"), {"k": 3, "levels": "1,3", "rule": None, "stages": 4}),
+            (("ok", "--k", "3", "--depth", "3"), {"k": 3, "depth": 3}),
+            (
+                ("membership", "--k", "2", "--n", "2", "--values", "1,0"),
+                {"k": 2, "n": 2, "values": "1,0"},
+            ),
+            (
+                ("distinguish", "--k", "2", "--rule-a", "1,2", "--rule-b", "1,3", "--budget-bits", "48"),
+                {"k": 2, "rule_a": "1,2", "rule_b": "1,3"},
+            ),
+            (
+                ("witness", "--k", "3", "--p", "2", "--s", "1", "--budget-bits", "48"),
+                {"k": 3, "p": 2, "s": 1},
+            ),
+            (
+                ("groupoid", "--k", "2", "--levels", "1,2,4", "--depth", "2", "--max-disp", "1",
+                 "--sample", "2", "--af-block", "3"),
+                {"k": 2, "levels": "1,2,4", "depth": 2, "max_disp": 1, "af_block": 3},
+            ),
+            (("selftest", "--seed", "1"), {"seed": 1}),
         ]
-        for argv in invocations:
+        for argv, inputs in invocations:
             report = run_json(capsys, *argv)
             assert json.loads(json.dumps(report)) == report
+            assert list(report) == ["schema", "command", "inputs", "results", "citations", "timing_ms"]
             assert report["schema"] == "kcalc/1"
+            assert report["command"] == argv[0]
+            assert list(report["inputs"].items()) == list(inputs.items()), argv
             assert report["citations"]
 
     def test_deterministic_modulo_timing(self, capsys):
@@ -500,6 +541,31 @@ class TestReportPlumbing:
         report = run_json(capsys, "selftest", "--seed", "3")
         assert report["inputs"] == {"seed": 3}
         assert report["results"]["all_ok"]
+
+    def test_failing_selftest_exits_1_with_its_report(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(cli, "identify_cuntz_k_theory", broken)
+        code, out, err = run_cli(capsys, "selftest")
+        assert code == 1
+        assert err == ""
+        results = json.loads(out)["results"]
+        assert results["all_ok"] is False
+        assert results["passed"] == results["total"] - 1
+        failed = [c["name"] for c in results["checks"] if not c["ok"]]
+        assert failed == ["tower identification at k=3, depth=3"]
+
+    def test_k_below_two_is_reported_before_other_faults(self, capsys):
+        for argv in (
+            ("distinguish", "--k", "1", "--rule-a", "x", "--rule-b", "1,3"),
+            ("groupoid", "--k", "0", "--levels", "1", "--depth", "1", "--max-disp", "0", "--sample", "-1"),
+            ("k0", "--k", "1", "--levels", "2,3"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err == "error: k must be >= 2\n"
 
     def test_python_dash_m_runs_from_a_checkout(self):
         src = os.path.dirname(os.path.dirname(kcalc.__file__))

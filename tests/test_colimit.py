@@ -246,6 +246,16 @@ class TestDistinguish:
         assert verdict.witness.prime_power == 7
         assert verdict.witness.order == 3
 
+    def test_budget_applies_to_the_rule_factorization(self):
+        # c * r = 3 * 2**100 has 102 bits; the caller's guard, not the default, decides
+        rule_a, rule_b = Geometric(2 ** 100, 3), Geometric(1, 3)
+        verdict = distinguish_colimits(2, rule_a, rule_b, budget_bits=200)
+        assert verdict.distinct
+        assert (verdict.prime, verdict.exponent) == (2, 1)
+        assert verdict.witness.prime_power == 3
+        with pytest.raises(FactorizationBudgetError, match="guard is 8 bits"):
+            distinguish_colimits(2, rule_a, rule_b, budget_bits=8)
+
     def test_distinct_implies_spectrum_disagreement(self):
         verdict = distinguish_colimits(2, Geometric(1, 2), Geometric(1, 3))
         w = verdict.witness
