@@ -10,10 +10,9 @@ cyclic or a localization of Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import SupernaturalNumber
+from .arith import SupernaturalNumber, _Value
 
 __all__ = [
     "CyclicElement",
@@ -25,17 +24,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CyclicElement:
+class CyclicElement(_Value):
     """An element of Z_m, stored as a reduced residue (m = 1 is the trivial group)."""
 
-    modulus: int
-    residue: int
+    __slots__ = ("modulus", "residue")
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, modulus: int, residue: int):
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
+        self._init(modulus, residue % modulus)
 
     def _check(self, other: "CyclicElement") -> None:
         if self.modulus != other.modulus:
@@ -56,26 +53,24 @@ class CyclicElement:
         return self + (-other)
 
 
-@dataclass(frozen=True)
-class CyclicHom:
+class CyclicHom(_Value):
     """The homomorphism Z_m -> Z_m' given by multiplication.
 
     Well-definedness requires source_modulus * multiplier == 0 in the target.
     """
 
-    source_modulus: int
-    target_modulus: int
-    multiplier: int
+    __slots__ = ("source_modulus", "target_modulus", "multiplier")
 
-    def __post_init__(self):
-        if self.source_modulus < 1 or self.target_modulus < 1:
+    def __init__(self, source_modulus: int, target_modulus: int, multiplier: int):
+        if source_modulus < 1 or target_modulus < 1:
             raise ValueError("moduli must be positive")
-        object.__setattr__(self, "multiplier", self.multiplier % self.target_modulus)
-        if (self.source_modulus * self.multiplier) % self.target_modulus != 0:
+        multiplier %= target_modulus
+        if (source_modulus * multiplier) % target_modulus != 0:
             raise ValueError(
-                f"multiplication by {self.multiplier} is not well defined "
-                f"Z_{self.source_modulus} -> Z_{self.target_modulus}"
+                f"multiplication by {multiplier} is not well defined "
+                f"Z_{source_modulus} -> Z_{target_modulus}"
             )
+        self._init(source_modulus, target_modulus, multiplier)
 
     def __call__(self, e: CyclicElement) -> CyclicElement:
         if e.modulus != self.source_modulus:
@@ -90,16 +85,17 @@ class CyclicHom:
         return self.kernel_size() == 1
 
 
-@dataclass(frozen=True)
-class LocalizedQuotient:
+class LocalizedQuotient(_Value):
     """The quotient of a localized-integer group by m, identified with Z_m.
 
     ``reduce`` sends a/b to a * b^{-1} (mod m); this is a surjective
     homomorphism whose kernel is m times the localized group.
     """
 
-    modulus: int
-    constraint: SupernaturalNumber
+    __slots__ = ("modulus", "constraint")
+
+    def __init__(self, modulus: int, constraint: SupernaturalNumber):
+        self._init(modulus, constraint)
 
     def reduce(self, x: Fraction | int) -> CyclicElement:
         fr = Fraction(x)
@@ -127,8 +123,7 @@ def quotient_localized_by_m(s: SupernaturalNumber, m: int) -> LocalizedQuotient:
     return LocalizedQuotient(m, s)
 
 
-@dataclass(frozen=True)
-class TensorReduction:
+class TensorReduction(_Value):
     """Tensor of Z_m with a localized-integer group, with its surjection data.
 
     The result is cyclic of order ``modulus`` (the part of m at primes where
@@ -137,10 +132,16 @@ class TensorReduction:
     ``generator_image`` is the image of 1 (x) [unit class].
     """
 
-    source_modulus: int
-    modulus: int
-    generator_image: CyclicElement
-    surjection: CyclicHom
+    __slots__ = ("source_modulus", "modulus", "generator_image", "surjection")
+
+    def __init__(
+        self,
+        source_modulus: int,
+        modulus: int,
+        generator_image: CyclicElement,
+        surjection: CyclicHom,
+    ):
+        self._init(source_modulus, modulus, generator_image, surjection)
 
 
 def tensor_cyclic_with_localized(m: int, s: SupernaturalNumber) -> TensorReduction:

@@ -242,6 +242,51 @@ def multiplicative_order(k: int, modulus: int) -> int:
     return t
 
 
+class _Value:
+    """Base of the immutable value types of kcalc.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    ``__init__`` parameters.  Its ``__init__`` checks the arguments and
+    stores each field once, by ``_init`` or, on a hot path, by one
+    ``object.__setattr__`` call per field.  Equality and hash compare the
+    fields in that order, and only between instances of the same class; the
+    repr is ``Name(field=value, ...)``; assigning or deleting an attribute
+    raises AttributeError.  Copies and pickles pass the fields to
+    ``__init__`` in order.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        """Store the fields, given in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 class KPowerRational:
     """An element of Z[1/k], stored as numer / base**expo.
 

@@ -9,13 +9,12 @@ works from residues modulo (k-1)**2 and forms no k**n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .abelian import CyclicElement, CyclicHom
 from .arith import (
     DEFAULT_BUDGET_BITS,
     FactorizationBudgetError,
     SupernaturalNumber,
+    _Value,
     factorize,
     is_prime,
     prime_factors,
@@ -38,18 +37,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(_Value):
     """The level rule n_i = first * ratio**(i-1), i >= 1."""
 
-    first: int
-    ratio: int
+    __slots__ = ("first", "ratio")
 
-    def __post_init__(self):
-        if self.first < 1:
+    def __init__(self, first: int, ratio: int):
+        if first < 1:
             raise ValueError("first level must be positive")
-        if self.ratio < 2:
+        if ratio < 2:
             raise ValueError("ratio must be >= 2 for strictly increasing levels")
+        self._init(first, ratio)
 
     def level(self, i: int) -> int:
         if i < 1:
@@ -60,8 +58,7 @@ class Geometric:
         return tuple(self.level(i) for i in range(1, count + 1))
 
 
-@dataclass(frozen=True)
-class CyclicColimit:
+class CyclicColimit(_Value):
     """A finite prefix of an inductive sequence of cyclic groups.
 
     Connecting maps must be injective, so each modulus divides the next; a
@@ -72,42 +69,47 @@ class CyclicColimit:
     the stored prefix.
     """
 
-    moduli: tuple[int, ...]
-    maps: tuple[CyclicHom, ...]
-    unit_thread: tuple[CyclicElement, ...] | None = None
-    level_rule: Geometric | None = None
+    __slots__ = ("moduli", "maps", "unit_thread", "level_rule")
 
-    def __post_init__(self):
-        if not self.moduli:
+    def __init__(
+        self,
+        moduli: tuple[int, ...],
+        maps: tuple[CyclicHom, ...],
+        unit_thread: tuple[CyclicElement, ...] | None = None,
+        level_rule: Geometric | None = None,
+    ):
+        if not moduli:
             raise ValueError("a colimit prefix needs at least one stage")
-        if len(self.maps) != len(self.moduli) - 1:
+        if len(maps) != len(moduli) - 1:
             raise ValueError("need exactly one connecting map per adjacent pair")
-        for i, h in enumerate(self.maps):
-            if h.source_modulus != self.moduli[i] or h.target_modulus != self.moduli[i + 1]:
+        for i, h in enumerate(maps):
+            if h.source_modulus != moduli[i] or h.target_modulus != moduli[i + 1]:
                 raise ValueError(f"connecting map {i + 1} does not match the moduli")
             if not h.is_injective():
                 raise ValueError(f"connecting map {i + 1} is not injective")
-        if self.unit_thread is not None:
-            if len(self.unit_thread) != len(self.moduli):
+        if unit_thread is not None:
+            if len(unit_thread) != len(moduli):
                 raise ValueError("unit thread must have one entry per stage")
-            for i, u in enumerate(self.unit_thread):
-                if u.modulus != self.moduli[i]:
+            for i, u in enumerate(unit_thread):
+                if u.modulus != moduli[i]:
                     raise ValueError(f"unit at stage {i + 1} has the wrong modulus")
-            for i, h in enumerate(self.maps):
-                if h(self.unit_thread[i]) != self.unit_thread[i + 1]:
+            for i, h in enumerate(maps):
+                if h(unit_thread[i]) != unit_thread[i + 1]:
                     raise ValueError(f"unit thread breaks at stage {i + 1}")
+        self._init(moduli, maps, unit_thread, level_rule)
 
 
-@dataclass(frozen=True)
-class OrderBound:
+class OrderBound(_Value):
     """Largest multiplicity of a prime among the prefix moduli.
 
     ``exact`` is True only when a level rule certifies that the supremum over
     all stages (not just the stored prefix) equals ``prefix_max``.
     """
 
-    prefix_max: int
-    exact: bool
+    __slots__ = ("prefix_max", "exact")
+
+    def __init__(self, prefix_max: int, exact: bool):
+        self._init(prefix_max, exact)
 
 
 def order_spectrum(
@@ -142,30 +144,25 @@ def order_spectrum(
     }
 
 
-@dataclass(frozen=True)
-class PrimePowerWitness:
+class PrimePowerWitness(_Value):
     """A prime power q**r with ord_{q**r}(k) = p**s.
 
     Consequently q**r divides k**b - 1 exactly when p**s divides b, which is
     what makes the witness useful for telling inductive limits apart.
     """
 
-    k: int
-    p: int
-    s: int
-    q: int
-    r: int
-    order: int
+    __slots__ = ("k", "p", "s", "q", "r", "order")
 
-    def __post_init__(self):
-        big, small = self.p ** self.s, self.p ** (self.s - 1)
-        qr = self.q ** self.r
-        if pow(self.k, big, qr) != 1:
-            raise ValueError(f"{qr} does not divide {self.k}**{big} - 1")
-        if pow(self.k, small, qr) == 1:
-            raise ValueError(f"{qr} divides {self.k}**{small} - 1")
-        if self.order != big:
+    def __init__(self, k: int, p: int, s: int, q: int, r: int, order: int):
+        big, small = p ** s, p ** (s - 1)
+        qr = q ** r
+        if pow(k, big, qr) != 1:
+            raise ValueError(f"{qr} does not divide {k}**{big} - 1")
+        if pow(k, small, qr) == 1:
+            raise ValueError(f"{qr} divides {k}**{small} - 1")
+        if order != big:
             raise ValueError("order certificate does not equal the prime power")
+        self._init(k, p, s, q, r, order)
 
     @property
     def prime_power(self) -> int:
@@ -208,15 +205,20 @@ def prime_power_order_witness(
     return PrimePowerWitness(k, p, s, q, valuation(small, q) + 1, order=p ** s)
 
 
-@dataclass(frozen=True)
-class DistinguishVerdict:
+class DistinguishVerdict(_Value):
     """Outcome of comparing two geometric level rules at a fixed base k."""
 
-    distinct: bool
-    prime: int | None = None
-    exponent: int | None = None
-    witness: PrimePowerWitness | None = None
-    first_stage_with_order: int | None = None
+    __slots__ = ("distinct", "prime", "exponent", "witness", "first_stage_with_order")
+
+    def __init__(
+        self,
+        distinct: bool,
+        prime: int | None = None,
+        exponent: int | None = None,
+        witness: PrimePowerWitness | None = None,
+        first_stage_with_order: int | None = None,
+    ):
+        self._init(distinct, prime, exponent, witness, first_stage_with_order)
 
     @property
     def verdict(self) -> str:
@@ -268,16 +270,21 @@ class StageCongruenceError(Exception):
     """A stage of the identification pipeline failed its congruence check."""
 
 
-@dataclass(frozen=True)
-class IdentificationStage:
+class IdentificationStage(_Value):
     """One certified stage of the UHF-tensored tower; modulus and cofactor are formed when read."""
 
-    k: int
-    stage: int
-    level: int
-    tensored_modulus: int
-    cofactor_congruences: tuple[tuple[int, int], ...]
-    unit_image: int
+    __slots__ = ("k", "stage", "level", "tensored_modulus", "cofactor_congruences", "unit_image")
+
+    def __init__(
+        self,
+        k: int,
+        stage: int,
+        level: int,
+        tensored_modulus: int,
+        cofactor_congruences: tuple[tuple[int, int], ...],
+        unit_image: int,
+    ):
+        self._init(k, stage, level, tensored_modulus, cofactor_congruences, unit_image)
 
     @property
     def modulus(self) -> int:
@@ -288,8 +295,7 @@ class IdentificationStage:
         return self.modulus // (self.k - 1)
 
 
-@dataclass(frozen=True)
-class CuntzIdentification:
+class CuntzIdentification(_Value):
     """Certified identification of the tensored tower with K-theory of a Cuntz algebra.
 
     Every stage of the tower for levels n_i = k**(i-1), tensored with the
@@ -299,22 +305,32 @@ class CuntzIdentification:
     The concluding isomorphism of algebras is cited, not computed.
     """
 
-    k: int
-    depth: int
-    supernatural: SupernaturalNumber
-    levels: tuple[int, ...]
-    stages: tuple[IdentificationStage, ...]
-    induced_multipliers: tuple[int, ...]
-    k0_order: int
-    unit_class: int
-    k1_trivial: bool
-    citations: tuple[str, ...] = field(
-        default=(
+    __slots__ = (
+        "k", "depth", "supernatural", "levels", "stages",
+        "induced_multipliers", "k0_order", "unit_class", "k1_trivial", "citations",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        depth: int,
+        supernatural: SupernaturalNumber,
+        levels: tuple[int, ...],
+        stages: tuple[IdentificationStage, ...],
+        induced_multipliers: tuple[int, ...],
+        k0_order: int,
+        unit_class: int,
+        k1_trivial: bool,
+        citations: tuple[str, ...] = (
             "stage groups and connecting maps: exact computation",
             "Cuntz algebra K-theory K_0 = Z/(k-1), [1] -> 1, K_1 = 0: cited",
             "Kirchberg-Phillips classification: cited, not computed",
+        ),
+    ):
+        self._init(
+            k, depth, supernatural, levels, stages,
+            induced_multipliers, k0_order, unit_class, k1_trivial, citations,
         )
-    )
 
     @property
     def moduli(self) -> tuple[int, ...]:

@@ -19,10 +19,10 @@ splits each class into k copies per extra letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterable, Iterator
 
+from .arith import _Value
 from .odometer import OdometerSpec
 
 __all__ = [
@@ -47,6 +47,10 @@ _AF_SAMPLES = 10
 # Arrow classes ``enumerate_arrows`` builds at most.
 _ARROW_CAP = 2 ** 18
 
+# Every enumerated arrow builds an ArrowClass and a target Cylinder; their
+# constructors store each field through this name, saving an attribute lookup.
+_store = object.__setattr__
+
 
 class ResolutionExhaustedError(ValueError):
     """A cylinder with an empty word cannot be shifted further."""
@@ -56,19 +60,17 @@ class InsufficientPrefixError(ValueError):
     """No stored level is fine enough to certify the requested bound."""
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Value):
     """Paths whose base projects to ``base`` in Z_level and start with ``word``."""
 
-    level: int
-    base: int
-    word: tuple[int, ...]
+    __slots__ = ("level", "base", "word")
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, level: int, base: int, word: tuple[int, ...]):
+        if level < 1:
             raise ValueError("vertex level must be positive")
-        object.__setattr__(self, "base", self.base % self.level)
-        object.__setattr__(self, "word", tuple(self.word))
+        _store(self, "level", level)
+        _store(self, "base", base % level)
+        _store(self, "word", tuple(word))
 
     @property
     def depth(self) -> int:
@@ -81,8 +83,7 @@ class Cylinder:
         return Cylinder(self.level, self.base + 1, self.word[1:])
 
 
-@dataclass(frozen=True)
-class ArrowClass:
+class ArrowClass(_Value):
     """An arrow class (target, m - n, source) at cylinder resolution.
 
     The witness exponents satisfy shift^m(target) = shift^n(source) at the
@@ -90,24 +91,25 @@ class ArrowClass:
     ahead of the source.
     """
 
-    source: Cylinder
-    target: Cylinder
-    m: int
-    n: int
+    __slots__ = ("source", "target", "m", "n")
 
-    def __post_init__(self):
-        source, target, m, n = self.source, self.target, self.m, self.n
+    def __init__(self, source: Cylinder, target: Cylinder, m: int, n: int):
         if m < 0 or n < 0:
             raise ValueError("shift exponents must be non-negative")
         if source.level != target.level:
             raise ValueError("source and target live at different vertex levels")
-        if m > target.depth or n > source.depth:
+        source_word, target_word = source.word, target.word
+        if m > len(target_word) or n > len(source_word):
             raise ResolutionExhaustedError("shift exponents exceed the word depth")
-        overlap = min(target.depth - m, source.depth - n)
+        overlap = min(len(target_word) - m, len(source_word) - n)
         if (target.base + m - source.base - n) % target.level or (
-            target.word[m : m + overlap] != source.word[n : n + overlap]
+            target_word[m : m + overlap] != source_word[n : n + overlap]
         ):
             raise ValueError("cylinders do not match under the declared shifts")
+        _store(self, "source", source)
+        _store(self, "target", target)
+        _store(self, "m", m)
+        _store(self, "n", n)
 
     @property
     def displacement(self) -> int:
@@ -183,7 +185,7 @@ def _arrows(
                             continue
                         for tail in tails:
                             target = Cylinder(vertex_level, base_tgt, head + shared + tail)
-                            yield ArrowClass(source=source, target=target, m=m, n=n)
+                            yield ArrowClass(source, target, m, n)
 
 
 def compose_arrows(first: ArrowClass, second: ArrowClass) -> ArrowClass:
@@ -257,27 +259,31 @@ def certify_no_isotropy(spec: OdometerSpec, max_displacement: int) -> "IsotropyC
     )
 
 
-@dataclass(frozen=True)
-class IsotropyCertificate:
-    stage: int
-    level: int
-    max_displacement: int
+class IsotropyCertificate(_Value):
+    """The first stage whose level exceeds the displacement bound, so no isotropy arrow fits."""
+
+    __slots__ = ("stage", "level", "max_displacement")
+
+    def __init__(self, stage: int, level: int, max_displacement: int):
+        self._init(stage, level, max_displacement)
 
 
-@dataclass(frozen=True)
-class ProductArrow:
+class ProductArrow(_Value):
     """An arrow of the product with a full equivalence-relation block."""
 
-    arrow: ArrowClass
-    row: int
-    col: int
+    __slots__ = ("arrow", "row", "col")
+
+    def __init__(self, arrow: ArrowClass, row: int, col: int):
+        self._init(arrow, row, col)
 
 
-@dataclass(frozen=True)
-class AfProduct:
-    count: int
-    block_size: int
-    samples: tuple[ProductArrow, ...]
+class AfProduct(_Value):
+    """The arrow count of the product with a full block, and a sample of its arrows."""
+
+    __slots__ = ("count", "block_size", "samples")
+
+    def __init__(self, count: int, block_size: int, samples: tuple[ProductArrow, ...]):
+        self._init(count, block_size, samples)
 
 
 def product_with_af(arrows: Iterable[ArrowClass], block_size: int) -> AfProduct:

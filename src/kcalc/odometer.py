@@ -20,12 +20,11 @@ result: the series never calls psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 from .abelian import CyclicElement, CyclicHom
-from .arith import KPowerRational
+from .arith import KPowerRational, _Value
 from .colimit import CyclicColimit, Geometric
 
 __all__ = [
@@ -48,47 +47,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OdometerSpec:
+class OdometerSpec(_Value):
     """Base k and a finite prefix of levels n_1 | n_2 | ... (strictly increasing)."""
 
-    k: int
-    levels: tuple[int, ...]
-    rule: Geometric | None = None
+    __slots__ = ("k", "levels", "rule")
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if self.k < 2:
+    def __init__(self, k: int, levels: tuple[int, ...], rule: Geometric | None = None):
+        levels = tuple(levels)
+        if k < 2:
             raise ValueError("k must be >= 2")
-        if not self.levels:
+        if not levels:
             raise ValueError("at least one level is required")
-        if self.levels[0] < 1:
+        if levels[0] < 1:
             raise ValueError("levels must be positive")
-        for a, b in zip(self.levels, self.levels[1:]):
+        for a, b in zip(levels, levels[1:]):
             if b <= a:
                 raise ValueError(f"levels must be strictly increasing: {a} !< {b}")
             if b % a != 0:
                 raise ValueError(f"levels must form a divisibility chain: {a} does not divide {b}")
-        if self.rule is not None:
-            for i, n in enumerate(self.levels, start=1):
-                if self.rule.level(i) != n:
+        if rule is not None:
+            for i, n in enumerate(levels, start=1):
+                if rule.level(i) != n:
                     raise ValueError(f"stored level {n} at stage {i} does not match the rule")
+        self._init(k, levels, rule)
 
 
-@dataclass(frozen=True)
-class LocallyConstantFn:
+class LocallyConstantFn(_Value):
     """A level-n function Z_n -> Z[1/k]; entry j is the value at the residue j."""
 
-    k: int
-    values: tuple[KPowerRational, ...]
+    __slots__ = ("k", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+    def __init__(self, k: int, values: tuple[KPowerRational, ...]):
+        values = tuple(values)
+        if not values:
             raise ValueError("level must be at least 1")
-        for v in self.values:
-            if v.base != self.k:
+        for v in values:
+            if v.base != k:
                 raise ValueError("all entries must share the base k")
+        self._init(k, values)
 
     @property
     def level(self) -> int:
@@ -186,10 +182,13 @@ def membership_psi(f: LocallyConstantFn) -> bool:
     return psi(f).residue == 0
 
 
-@dataclass(frozen=True)
-class SeriesMembership:
-    member: bool
-    witness: LocallyConstantFn | None
+class SeriesMembership(_Value):
+    """Whether f lies in the image of id - (1/k)T, with a preimage when it does."""
+
+    __slots__ = ("member", "witness")
+
+    def __init__(self, member: bool, witness: LocallyConstantFn | None):
+        self._init(member, witness)
 
 
 def membership_series(f: LocallyConstantFn) -> SeriesMembership:
@@ -225,8 +224,7 @@ def membership_series(f: LocallyConstantFn) -> SeriesMembership:
     return SeriesMembership(True, g)
 
 
-@dataclass(frozen=True)
-class KernelCertificate:
+class KernelCertificate(_Value):
     """Exact certificate that id - (1/k)T has trivial kernel.
 
     The cyclic system f(x) = (1/k) f(x - 1) forces f(0) = k**-n f(0) after
@@ -235,9 +233,10 @@ class KernelCertificate:
     solution is zero.
     """
 
-    k: int
-    level: int
-    pivot: Fraction
+    __slots__ = ("k", "level", "pivot")
+
+    def __init__(self, k: int, level: int, pivot: Fraction):
+        self._init(k, level, pivot)
 
     @property
     def trivial(self) -> bool:
@@ -255,12 +254,13 @@ def kernel_is_trivial(k: int, n: int) -> bool:
     return kernel_certificate(k, n).trivial
 
 
-@dataclass(frozen=True)
-class OdometerKTheory:
+class OdometerKTheory(_Value):
     """K-theory of the odometer tower: the K_0 colimit and K_1 certificates."""
 
-    k0: CyclicColimit
-    kernel_certificates: tuple[KernelCertificate, ...]
+    __slots__ = ("k0", "kernel_certificates")
+
+    def __init__(self, k0: CyclicColimit, kernel_certificates: tuple[KernelCertificate, ...]):
+        self._init(k0, kernel_certificates)
 
     @property
     def k1_trivial(self) -> bool:
@@ -294,14 +294,26 @@ class CorrespondenceIdentityError(Exception):
     """A Hilbert-module identity failed; indicates an implementation bug."""
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    k: int
-    vertex_level: int
-    samples: int
-    positivity_checks: int
-    module_identity_checks: int
-    rank_one_checks: int
+class CorrespondenceReport(_Value):
+    """Counts of the Hilbert module identities checked at one vertex level."""
+
+    __slots__ = (
+        "k", "vertex_level", "samples",
+        "positivity_checks", "module_identity_checks", "rank_one_checks",
+    )
+
+    def __init__(
+        self,
+        k: int,
+        vertex_level: int,
+        samples: int,
+        positivity_checks: int,
+        module_identity_checks: int,
+        rank_one_checks: int,
+    ):
+        self._init(
+            k, vertex_level, samples, positivity_checks, module_identity_checks, rank_one_checks
+        )
 
 
 def _inner(k: int, n: int, xi, eta):

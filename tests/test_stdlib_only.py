@@ -1,6 +1,8 @@
-"""The library imports nothing outside the standard library."""
+"""The library imports nothing outside the standard library, and the CLI loads no dataclasses."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +25,11 @@ def test_every_absolute_import_is_stdlib_or_kcalc():
                 if top != "kcalc" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno}: {name}")
     assert foreign == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, kcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
