@@ -179,6 +179,8 @@ def _cmd_ok(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_membership(args) -> tuple[dict, list[str]]:
+    if args.n < 1:
+        raise ValueError("n must be >= 1")
     _refuse_unprintable(args.k, args.n, 1)
     try:
         fractions = [Fraction(part) for part in args.values.split(",")]

@@ -4,7 +4,8 @@ Colimit prefixes with their connecting maps and unit thread, the order
 spectrum, prime-power order witnesses, non-isomorphism tests for limits
 built from geometric level rules, and the pipeline identifying the
 UHF-tensored odometer tower with the K-theory of a Cuntz algebra, which
-works from residues modulo (k-1)**2 and forms no k**n.
+reads each level mod k-1, forms no level and no k**n, and checks one
+congruence mod k-1 per stage, which implies the rest.
 """
 
 from __future__ import annotations
@@ -271,20 +272,23 @@ class StageCongruenceError(Exception):
 
 
 class IdentificationStage(_Value):
-    """One certified stage of the UHF-tensored tower; modulus and cofactor are formed when read."""
+    """One certified stage of the UHF-tensored tower; level, modulus and cofactor are formed when read."""
 
-    __slots__ = ("k", "stage", "level", "tensored_modulus", "cofactor_congruences", "unit_image")
+    __slots__ = ("k", "stage", "tensored_modulus", "cofactor_congruences", "unit_image")
 
     def __init__(
         self,
         k: int,
         stage: int,
-        level: int,
         tensored_modulus: int,
         cofactor_congruences: tuple[tuple[int, int], ...],
         unit_image: int,
     ):
-        self._init(k, stage, level, tensored_modulus, cofactor_congruences, unit_image)
+        self._init(k, stage, tensored_modulus, cofactor_congruences, unit_image)
+
+    @property
+    def level(self) -> int:
+        return self.k ** (self.stage - 1)
 
     @property
     def modulus(self) -> int:
@@ -302,11 +306,12 @@ class CuntzIdentification(_Value):
     localized group whose denominators avoid the primes of k - 1, is cyclic
     of order k - 1; the induced connecting maps are congruent to 1 modulo
     k - 1 (hence isomorphisms); and the unit thread lands on the generator 1.
-    The concluding isomorphism of algebras is cited, not computed.
+    The concluding isomorphism of algebras is cited, not computed.  Levels
+    and moduli are formed when read.
     """
 
     __slots__ = (
-        "k", "depth", "supernatural", "levels", "stages",
+        "k", "depth", "supernatural", "stages",
         "induced_multipliers", "k0_order", "unit_class", "k1_trivial", "citations",
     )
 
@@ -315,7 +320,6 @@ class CuntzIdentification(_Value):
         k: int,
         depth: int,
         supernatural: SupernaturalNumber,
-        levels: tuple[int, ...],
         stages: tuple[IdentificationStage, ...],
         induced_multipliers: tuple[int, ...],
         k0_order: int,
@@ -328,9 +332,13 @@ class CuntzIdentification(_Value):
         ),
     ):
         self._init(
-            k, depth, supernatural, levels, stages,
+            k, depth, supernatural, stages,
             induced_multipliers, k0_order, unit_class, k1_trivial, citations,
         )
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return tuple(s.level for s in self.stages)
 
     @property
     def moduli(self) -> tuple[int, ...]:
@@ -342,13 +350,15 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
 
     Stage i has level n = k**(i-1) and modulus k**n - 1 = M * c, M = k - 1.
     As k = 1 (mod M), the cofactor c = 1 + k + ... + k**(n-1) = n = 1 (mod M).
-    Each stage is certified from one residue, k**n mod M**2, which gives
-    c mod M; no k**n is formed.  No prime of M divides c, so the tensor with
-    the localized group of type ``complement(M)`` has order M; c is 1 modulo
-    every prime of M; the unit class c maps to 1 mod M; the induced
-    connecting multiplier c_{i+1} / c_i is 1 mod M; and K_1 = 0, as the
-    kernel pivot 1 - k**-n has numerator k**n - 1 = -1 (mod k).  Any failure
-    raises StageCongruenceError naming the failing congruence.
+    Each stage is certified from its level read mod M, pow(k, i - 1, M),
+    and one residue, k**n mod M**2, which gives c mod M; neither the level
+    nor k**n is formed, so the call is linear in depth.  One check per
+    stage, c = 1 (mod M), implies the rest: no prime of M divides c, so the
+    tensor with the localized group of type ``complement(M)`` has order M;
+    c is 1 modulo every prime of M; the unit class c maps to 1 mod M; and
+    the induced connecting multiplier c_{i+1} / c_i is 1 mod M.  K_1 = 0,
+    as the kernel pivot 1 - k**-n has numerator k**n - 1 = -1 (mod k).  A
+    failed check raises StageCongruenceError.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -357,53 +367,35 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     target = k - 1
     square = target * target
     target_primes = prime_factors(target) if target > 1 else []
-    levels = Geometric(1, k).levels(depth)
 
     stages = []
-    for i, level in enumerate(levels, start=1):
-        # k = 1 + M, so k**M = 1 (mod M**2): the order of k mod M**2 divides M.
-        cofactor = (pow(k, level % target, square) - 1) % square // target  # c mod M
-        if any(cofactor % p == 0 for p in target_primes):
-            raise StageCongruenceError(f"stage {i}: tensored order exceeds {target}")
-        congruences = []
-        for p in target_primes:
-            residue = cofactor % p
-            if residue != 1:
-                raise StageCongruenceError(f"stage {i}: cofactor is {residue}, not 1, mod {p}")
-            congruences.append((p, residue))
+    for i in range(1, depth + 1):
+        # k = 1 + M, so k**M = 1 (mod M**2): only the level n = k**(i-1) mod M counts.
+        cofactor = (pow(k, pow(k, i - 1, target), square) - 1) % square // target  # c mod M
         if cofactor != 1 % target:
-            raise StageCongruenceError(
-                f"stage {i}: unit class lands on {cofactor}, not 1, mod {target}"
-            )
+            raise StageCongruenceError(f"stage {i}: cofactor is {cofactor}, not 1, mod {target}")
         stages.append(
             IdentificationStage(
                 k=k,
                 stage=i,
-                level=level,
                 tensored_modulus=target,
-                cofactor_congruences=tuple(congruences),
+                cofactor_congruences=tuple((p, cofactor % p) for p in target_primes),
                 unit_image=cofactor,
             )
         )
-
-    induced = []
-    for i, (a, b) in enumerate(zip(stages, stages[1:]), start=1):
-        u = b.unit_image * pow(a.unit_image, -1, target) % target  # c_{i+1} / c_i mod M
-        if u != 1 % target:
-            raise StageCongruenceError(
-                f"induced map {i}: multiplier is {u}, not 1, mod {target}"
-            )
-        induced.append(u)
 
     return CuntzIdentification(
         k=k,
         depth=depth,
         supernatural=SupernaturalNumber.coprime_complement(target),
-        levels=levels,
         stages=tuple(stages),
-        induced_multipliers=tuple(induced),
+        # c_{i+1} / c_i mod M
+        induced_multipliers=tuple(
+            b.unit_image * pow(a.unit_image, -1, target) % target
+            for a, b in zip(stages, stages[1:])
+        ),
         k0_order=target,
         unit_class=1 % target,
-        # pivot 1 - k**-n: k**n - 1 = -1 (mod k) for n >= 1, so it never vanishes
-        k1_trivial=all(level >= 1 for level in levels),
+        # pivot 1 - k**-n: k**n - 1 = -1 (mod k) for every level n >= 1, so it never vanishes
+        k1_trivial=True,
     )

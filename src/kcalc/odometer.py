@@ -354,6 +354,8 @@ def verify_correspondence_identities(
     """
     if vertex_level < 1 or k < 1:
         raise ValueError("need k >= 1 and vertex_level >= 1")
+    if sample_count < 0:
+        raise ValueError("sample_count must be >= 0")
     n = vertex_level
     rng = Random(seed)
 

@@ -163,6 +163,12 @@ class TestMembershipCommand:
         code, _, _ = run_cli(capsys, "membership", "--k", "2", "--n", "3", "--values", "1,0")
         assert code == EXIT_USAGE
 
+    def test_level_below_one_exits_2(self, capsys):
+        for n, values in (("0", "--values="), ("-1", "--values=1")):
+            code, _, err = run_cli(capsys, "membership", "--k", "2", "--n", n, values)
+            assert code == EXIT_USAGE
+            assert "n must be >= 1" in err
+
     def test_leading_minus_value_as_separate_word(self, capsys):
         joined = run_json(capsys, "membership", "--k", "2", "--n", "2", "--values=-1/2,1")
         separate = run_json(capsys, "membership", "--k", "2", "--n", "2", "--values", "-1/2,1")

@@ -312,10 +312,11 @@ class TestCuntzIdentification:
                 outcome = identify_cuntz_k_theory(k, depth)
                 got = {name: getattr(outcome, name) for name in type(outcome).__slots__}
                 del got["citations"]  # cited, not computed
+                got["levels"] = outcome.levels
                 got["moduli"] = outcome.moduli
                 got["stages"] = [
                     {name: getattr(s, name) for name in type(s).__slots__}
-                    | {"modulus": s.modulus, "cofactor": s.cofactor}
+                    | {"level": s.level, "modulus": s.modulus, "cofactor": s.cofactor}
                     for s in outcome.stages
                 ]
                 assert got == tensor_route_identification(k, depth), (k, depth)
@@ -338,7 +339,7 @@ import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from kcalc import identify_cuntz_k_theory
 out = []
-for k, depth in ((2**61, 2), (10**6, 6)):
+for k, depth in ((2**61, 2), (10**6, 6), (2**61, 20000)):
     o = identify_cuntz_k_theory(k, depth)
     out.append({
         "k": k,

@@ -56,3 +56,5 @@ def test_bad_arguments_rejected():
         verify_correspondence_identities(0, 3, 5)
     with pytest.raises(ValueError):
         verify_correspondence_identities(2, 0, 5)
+    with pytest.raises(ValueError):
+        verify_correspondence_identities(2, 3, -5)

@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import inspect
 import pickle
 import pkgutil
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 import kcalc
 from kcalc.abelian import CyclicElement, CyclicHom, LocalizedQuotient, TensorReduction
-from kcalc.arith import KPowerRational, SupernaturalNumber
+from kcalc.arith import KPowerRational, SupernaturalNumber, _Value
 from kcalc.colimit import (
     CuntzIdentification,
     CyclicColimit,
@@ -50,7 +51,7 @@ COLIMIT = (
     f" CyclicElement(modulus=15, residue=5)), level_rule={RULE})"
 )
 WITNESS = "PrimePowerWitness(k=2, p=3, s=1, q=7, r=1, order=3)"
-STAGE = "IdentificationStage(k=3, stage={}, level={}, tensored_modulus=2, cofactor_congruences=((2, 1),), unit_image=1)"
+STAGE = "IdentificationStage(k=3, stage={}, tensored_modulus=2, cofactor_congruences=((2, 1),), unit_image=1)"
 FN = "LocallyConstantFn(k=2, values=(KPowerRational(1, base=2), KPowerRational(1/2^1)))"
 ARROW = (
     "ArrowClass(source=Cylinder(level=2, base=0, word=(1, 2)),"
@@ -69,7 +70,7 @@ def _value_cases():
     units = (CyclicElement(3, 1), CyclicElement(15, 5))
     colimit = CyclicColimit((3, 15), (hom,), units, Geometric(2, 2))
     witness = PrimePowerWitness(2, 3, 1, 7, 1, 3)
-    stages = tuple(IdentificationStage(3, i, 3 ** (i - 1), 2, ((2, 1),), 1) for i in (1, 2))
+    stages = tuple(IdentificationStage(3, i, 2, ((2, 1),), 1) for i in (1, 2))
     fn = LocallyConstantFn(2, (KPowerRational(2, 1), KPowerRational(2, 1, 1)))
     arrow = ArrowClass(Cylinder(2, 0, (1, 2)), Cylinder(2, 1, (2, 1)), 1, 0)
     certificate = KernelCertificate(2, 2, Fraction(3, 4))
@@ -116,20 +117,20 @@ def _value_cases():
         ),
         (
             IdentificationStage,
-            (3, 1, 1, 2, ((2, 1),), 1),
-            ("k", "stage", "level", "tensored_modulus", "cofactor_congruences", "unit_image"),
-            STAGE.format(1, 1),
+            (3, 1, 2, ((2, 1),), 1),
+            ("k", "stage", "tensored_modulus", "cofactor_congruences", "unit_image"),
+            STAGE.format(1),
             {},
         ),
         (
             CuntzIdentification,
-            (3, 2, SupernaturalNumber.coprime_complement(2), (1, 3), stages, (1,), 2, 1, True, CUNTZ_CITATIONS),
+            (3, 2, SupernaturalNumber.coprime_complement(2), stages, (1,), 2, 1, True, CUNTZ_CITATIONS),
             (
-                "k", "depth", "supernatural", "levels", "stages", "induced_multipliers",
+                "k", "depth", "supernatural", "stages", "induced_multipliers",
                 "k0_order", "unit_class", "k1_trivial", "citations",
             ),
-            f"CuntzIdentification(k=3, depth=2, supernatural=SupernaturalNumber(complement(2)), levels=(1, 3),"
-            f" stages=({STAGE.format(1, 1)}, {STAGE.format(2, 3)}), induced_multipliers=(1,), k0_order=2,"
+            f"CuntzIdentification(k=3, depth=2, supernatural=SupernaturalNumber(complement(2)),"
+            f" stages=({STAGE.format(1)}, {STAGE.format(2)}), induced_multipliers=(1,), k0_order=2,"
             f" unit_class=1, k1_trivial=True, citations={CUNTZ_CITATIONS!r})",
             {"citations": CUNTZ_CITATIONS},
         ),
@@ -216,3 +217,13 @@ def test_value_types_keep_dataclass_semantics(index):
     default_built = cls(**required)
     for name, expected in defaults.items():
         assert getattr(default_built, name) == expected, name
+
+
+VALUE_TYPES = _Value.__subclasses__()
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=[cls.__name__ for cls in VALUE_TYPES])
+def test_value_type_init_parameters_are_its_slots(cls):
+    # __reduce__, _init and the repr all pass or read the fields in __slots__ order
+    params = list(inspect.signature(cls.__init__).parameters)[1:]
+    assert params == list(cls.__slots__)
