@@ -2,8 +2,9 @@
 
 Each stage of an odometer with levels n_1 | n_2 | ... contributes the cyclic
 group Z_{k**n_i - 1}; the connecting maps multiply by the ratio of adjacent
-moduli, and the class of the unit sits at (k**n_i - 1)/(k - 1).  K_1 vanishes,
-certified level by level by the closed-form kernel pivot 1 - k**-n_i.
+moduli, and the class of the unit sits at (k**n_i - 1)/(k - 1).  K_1 vanishes
+at every level: the closed-form kernel pivot 1 - k**-n_i has numerator
+k**n_i - 1 = -1 (mod k), so it is never 0.
 """
 
 from kcalc import Geometric, OdometerSpec, k0_odometer

@@ -67,7 +67,7 @@ def _parse_rule(text: str) -> Geometric:
 
 
 def _spec_from_args(args) -> OdometerSpec:
-    if args.levels:
+    if args.levels is not None:
         return OdometerSpec(args.k, _parse_levels(args.levels))
     if args.rule:
         rule = _parse_rule(args.rule)
@@ -149,7 +149,8 @@ def _cmd_k0(args) -> tuple[dict, list[str]]:
     return results, [
         "tower of cyclic groups from the finite-stage residue map: computed",
         "connecting multipliers (geometric sums): computed",
-        "K_1 = 0 via the closed-form kernel pivot 1 - k^-n per level: computed",
+        "K_1 = 0 at every level via the closed-form kernel pivot 1 - k^-n,"
+        " numerator k^n - 1 = -1 (mod k): computed",
     ]
 
 
@@ -158,13 +159,14 @@ def _cmd_ok(args) -> tuple[dict, list[str]]:
     _refuse_unprintable(args.k, top, 0)  # the last level, k**(depth - 1)
     _refuse_unprintable(args.k, args.k ** top, 1)  # its modulus
     outcome = identify_cuntz_k_theory(args.k, args.depth)
+    moduli = outcome.moduli
     k0_desc = "0" if outcome.k0_order == 1 else f"Z_{outcome.k0_order}"
     results = {
         "levels": list(outcome.levels),
-        "moduli": list(outcome.moduli),
+        "moduli": list(moduli),
         "supernatural": outcome.supernatural.describe(),
         "stage_orders": [s.tensored_modulus for s in outcome.stages],
-        "cofactors": [s.cofactor for s in outcome.stages],
+        "cofactors": [m // (args.k - 1) for m in moduli],
         "induced_multipliers_mod_target": list(outcome.induced_multipliers),
         "unit_class": outcome.unit_class,
         "k0": k0_desc,

@@ -4,8 +4,8 @@ Colimit prefixes with their connecting maps and unit thread, the order
 spectrum, prime-power order witnesses, non-isomorphism tests for limits
 built from geometric level rules, and the pipeline identifying the
 UHF-tensored odometer tower with the K-theory of a Cuntz algebra, which
-reads each level mod k-1, forms no level and no k**n, and checks one
-congruence mod k-1 per stage, which implies the rest.
+forms no level and no k**n: every level is 1 mod k-1, so one congruence
+mod k-1 certifies every stage, and K_1 = 0 holds at every level.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def distinguish_colimits(
 
 
 class StageCongruenceError(Exception):
-    """A stage of the identification pipeline failed its congruence check."""
+    """The congruence that certifies every stage of the identification failed."""
 
 
 class IdentificationStage(_Value):
@@ -312,7 +312,14 @@ class CuntzIdentification(_Value):
 
     __slots__ = (
         "k", "depth", "supernatural", "stages",
-        "induced_multipliers", "k0_order", "unit_class", "k1_trivial", "citations",
+        "induced_multipliers", "k0_order", "unit_class", "k1_trivial",
+    )
+
+    citations = (
+        "stage groups and connecting maps of all stages from one congruence,"
+        " cofactor = 1 (mod k-1): exact computation",
+        "Cuntz algebra K-theory K_0 = Z/(k-1), [1] -> 1, K_1 = 0: cited",
+        "Kirchberg-Phillips classification: cited, not computed",
     )
 
     def __init__(
@@ -325,15 +332,10 @@ class CuntzIdentification(_Value):
         k0_order: int,
         unit_class: int,
         k1_trivial: bool,
-        citations: tuple[str, ...] = (
-            "stage groups and connecting maps: exact computation",
-            "Cuntz algebra K-theory K_0 = Z/(k-1), [1] -> 1, K_1 = 0: cited",
-            "Kirchberg-Phillips classification: cited, not computed",
-        ),
     ):
         self._init(
             k, depth, supernatural, stages,
-            induced_multipliers, k0_order, unit_class, k1_trivial, citations,
+            induced_multipliers, k0_order, unit_class, k1_trivial,
         )
 
     @property
@@ -349,16 +351,16 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     """Certify K_0 = Z_{k-1} (unit at 1) and K_1 = 0 for the tensored tower.
 
     Stage i has level n = k**(i-1) and modulus k**n - 1 = M * c, M = k - 1.
-    As k = 1 (mod M), the cofactor c = 1 + k + ... + k**(n-1) = n = 1 (mod M).
-    Each stage is certified from its level read mod M, pow(k, i - 1, M),
-    and one residue, k**n mod M**2, which gives c mod M; neither the level
-    nor k**n is formed, so the call is linear in depth.  One check per
-    stage, c = 1 (mod M), implies the rest: no prime of M divides c, so the
-    tensor with the localized group of type ``complement(M)`` has order M;
-    c is 1 modulo every prime of M; the unit class c maps to 1 mod M; and
-    the induced connecting multiplier c_{i+1} / c_i is 1 mod M.  K_1 = 0,
-    as the kernel pivot 1 - k**-n has numerator k**n - 1 = -1 (mod k).  A
-    failed check raises StageCongruenceError.
+    As k = 1 (mod M), every level n is 1 (mod M), and k**M = 1 (mod M**2),
+    so k**n = k (mod M**2) at every stage: one residue gives the cofactor
+    c mod M of all stages at once, and neither a level nor k**n is formed.
+    One check, c = 1 (mod M), certifies every stage and implies the rest:
+    no prime of M divides c, so the tensor with the localized group of type
+    ``complement(M)`` has order M; c is 1 modulo every prime of M; the unit
+    class c maps to 1 mod M; and the induced connecting multiplier
+    c_{i+1} / c_i is 1 mod M.  The stages share that one certificate.
+    K_1 = 0 at every level, as the kernel pivot 1 - k**-n has numerator
+    k**n - 1 = -1 (mod k).  A failed check raises StageCongruenceError.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -366,36 +368,29 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
         raise ValueError("depth must be >= 2")
     target = k - 1
     square = target * target
-    target_primes = prime_factors(target) if target > 1 else []
-
-    stages = []
-    for i in range(1, depth + 1):
-        # k = 1 + M, so k**M = 1 (mod M**2): only the level n = k**(i-1) mod M counts.
-        cofactor = (pow(k, pow(k, i - 1, target), square) - 1) % square // target  # c mod M
-        if cofactor != 1 % target:
-            raise StageCongruenceError(f"stage {i}: cofactor is {cofactor}, not 1, mod {target}")
-        stages.append(
-            IdentificationStage(
-                k=k,
-                stage=i,
-                tensored_modulus=target,
-                cofactor_congruences=tuple((p, cofactor % p) for p in target_primes),
-                unit_image=cofactor,
-            )
-        )
-
+    one = 1 % target
+    # k**n with n = 1 (mod M), the residue of every level; c mod M is the same at every stage
+    cofactor = (pow(k, one, square) - 1) % square // target
+    if cofactor != one:
+        raise StageCongruenceError(f"cofactor is {cofactor}, not 1, mod {target}")
+    congruences = tuple((p, cofactor % p) for p in prime_factors(target))
     return CuntzIdentification(
         k=k,
         depth=depth,
         supernatural=SupernaturalNumber.coprime_complement(target),
-        stages=tuple(stages),
-        # c_{i+1} / c_i mod M
-        induced_multipliers=tuple(
-            b.unit_image * pow(a.unit_image, -1, target) % target
-            for a, b in zip(stages, stages[1:])
+        stages=tuple(
+            IdentificationStage(
+                k=k,
+                stage=i,
+                tensored_modulus=target,
+                cofactor_congruences=congruences,
+                unit_image=cofactor,
+            )
+            for i in range(1, depth + 1)
         ),
+        induced_multipliers=(one,) * (depth - 1),  # c_{i+1} / c_i = c / c mod M
         k0_order=target,
-        unit_class=1 % target,
+        unit_class=one,
         # pivot 1 - k**-n: k**n - 1 = -1 (mod k) for every level n >= 1, so it never vanishes
         k1_trivial=True,
     )

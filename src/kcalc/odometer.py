@@ -275,8 +275,8 @@ def k0_odometer(spec: OdometerSpec) -> OdometerKTheory:
     is formed once, and the rest is read off the moduli: n_i | n_{i+1}, so
     m_i | m_{i+1}, and the connecting map multiplies by the geometric sum
     m_{i+1} / m_i; the unit class m_i / (k - 1) = psi(1) is carried to the
-    next one.  K_1 vanishes, certified per level by the closed-form kernel
-    pivot 1 - k**-n.
+    next one.  K_1 vanishes at every level: the closed-form kernel pivot
+    1 - k**-n has numerator k**n - 1 = -1 (mod k), never 0.
     """
     k = spec.k
     moduli = tuple(k ** n - 1 for n in spec.levels)

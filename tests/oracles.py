@@ -305,3 +305,26 @@ def tensor_route_identification(k: int, depth: int) -> dict:
         "unit_class": stages[-1]["unit_image"],
         "k1_trivial": tower.k1_trivial,
     }
+
+
+def graph_homology(k: int, N: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Relations and invariant factors of H_0 of the level-N graph groupoid.
+
+    The level-N graph has k edges from each vertex x to x + 1 (mod N), so
+    its adjacency matrix is A = k*P, P the cyclic shift, and its groupoid has
+    H_0 = coker(1 - A^T) and H_1 = ker(1 - A^T) (H. Matui, "Homology and
+    topological full groups of etale groupoids on totally disconnected
+    spaces", Proc. LMS 104, 2012).  Column x of 1 - A^T is e_x - k*e_{x+1}.
+    Returns those columns and the absolute diagonal of sympy's Smith normal
+    form of 1 - A^T over the integers, in its divisibility order; a 0 among
+    them would be a free summand of H_0 and of H_1.
+    """
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    columns = [
+        tuple(int(y == x) - k * int(y == (x + 1) % N) for y in range(N)) for x in range(N)
+    ]
+    relations = Matrix(N, N, lambda y, x: columns[x][y])
+    diagonal = smith_normal_form(relations, domain=ZZ)
+    return columns, [abs(int(diagonal[i, i])) for i in range(N)]

@@ -47,7 +47,8 @@ class TestK0Command:
         assert report["citations"] == [
             "tower of cyclic groups from the finite-stage residue map: computed",
             "connecting multipliers (geometric sums): computed",
-            "K_1 = 0 via the closed-form kernel pivot 1 - k^-n per level: computed",
+            "K_1 = 0 at every level via the closed-form kernel pivot 1 - k^-n,"
+            " numerator k^n - 1 = -1 (mod k): computed",
         ]
         assert report["results"]["kernel_pivots"] == ["1/2", "3/4", "15/16"]
 
@@ -77,6 +78,12 @@ class TestK0Command:
     def test_malformed_level_list_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "k0", "--k", "2", "--levels", "1,two")
         assert code == EXIT_USAGE
+
+    def test_empty_level_list_is_malformed_not_missing(self, capsys):
+        code, out, err = run_cli(capsys, "k0", "--k", "2", "--levels", "")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: malformed level list: ''\n"
 
     @pytest.mark.parametrize("stages", ["1000000", "1000000000000000000"])
     def test_long_rule_refused_before_its_levels_are_formed(self, capsys, stages):
@@ -122,6 +129,13 @@ class TestOkCommand:
         assert report["results"]["k0"] == "Z_4"
         assert report["results"]["unit_class"] == 1
         assert any("Kirchberg-Phillips" in c for c in report["citations"])
+
+    def test_citations_certify_all_stages_by_one_congruence(self, capsys):
+        report = run_json(capsys, "ok", "--k", "7", "--depth", "3")
+        assert report["citations"][0] == (
+            "stage groups and connecting maps of all stages from one congruence,"
+            " cofactor = 1 (mod k-1): exact computation"
+        )
 
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "ok", "--k", "1")

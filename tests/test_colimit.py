@@ -306,12 +306,22 @@ class TestCuntzIdentification:
         outcome = identify_cuntz_k_theory(3, 2)
         assert any("cited, not computed" in c for c in outcome.citations)
 
+    def test_stages_share_one_certificate(self):
+        # every level is 1 mod k - 1, so all stages carry the one congruence's record
+        for k in (2, 3, 7, 12, 2**61):
+            outcome = identify_cuntz_k_theory(k, 5)
+            first = outcome.stages[0]
+            assert all(
+                s.cofactor_congruences is first.cofactor_congruences and s.unit_image == first.unit_image
+                for s in outcome.stages
+            )
+            assert outcome.induced_multipliers == (first.unit_image,) * 4
+
     def test_every_field_matches_the_tensor_route(self):
         for k in range(2, 14):
             for depth in range(2, 5):
                 outcome = identify_cuntz_k_theory(k, depth)
                 got = {name: getattr(outcome, name) for name in type(outcome).__slots__}
-                del got["citations"]  # cited, not computed
                 got["levels"] = outcome.levels
                 got["moduli"] = outcome.moduli
                 got["stages"] = [

@@ -58,11 +58,6 @@ ARROW = (
     " target=Cylinder(level=2, base=1, word=(2, 1)), m=1, n=0)"
 )
 PRODUCT_ARROW = f"ProductArrow(arrow={ARROW}, row=0, col=1)"
-CUNTZ_CITATIONS = (
-    "stage groups and connecting maps: exact computation",
-    "Cuntz algebra K-theory K_0 = Z/(k-1), [1] -> 1, K_1 = 0: cited",
-    "Kirchberg-Phillips classification: cited, not computed",
-)
 
 
 def _value_cases():
@@ -124,15 +119,15 @@ def _value_cases():
         ),
         (
             CuntzIdentification,
-            (3, 2, SupernaturalNumber.coprime_complement(2), stages, (1,), 2, 1, True, CUNTZ_CITATIONS),
+            (3, 2, SupernaturalNumber.coprime_complement(2), stages, (1,), 2, 1, True),
             (
                 "k", "depth", "supernatural", "stages", "induced_multipliers",
-                "k0_order", "unit_class", "k1_trivial", "citations",
+                "k0_order", "unit_class", "k1_trivial",
             ),
             f"CuntzIdentification(k=3, depth=2, supernatural=SupernaturalNumber(complement(2)),"
             f" stages=({STAGE.format(1)}, {STAGE.format(2)}), induced_multipliers=(1,), k0_order=2,"
-            f" unit_class=1, k1_trivial=True, citations={CUNTZ_CITATIONS!r})",
-            {"citations": CUNTZ_CITATIONS},
+            " unit_class=1, k1_trivial=True)",
+            {},
         ),
         (
             OdometerSpec,

@@ -1,5 +1,6 @@
 """Tests for cylinders, arrow enumeration and isotropy certificates."""
 
+import math
 from collections.abc import Iterator
 
 import pytest
@@ -18,8 +19,8 @@ from kcalc.groupoid import (
     product_with_af,
     refine_arrow,
 )
-from kcalc.odometer import OdometerSpec
-from oracles import _shift_match, pair_scan_arrows, residue_scan_isotropy
+from kcalc.odometer import LocallyConstantFn, OdometerSpec, k0_odometer, psi
+from oracles import _shift_match, graph_homology, pair_scan_arrows, residue_scan_isotropy
 
 
 def arrow_key(a: ArrowClass):
@@ -297,3 +298,40 @@ class TestAfProduct:
         assert af.count == 10**24
         assert af.samples == tuple(ProductArrow(a, 0, c) for c in range(10))
         assert product_with_af([], 10**12).samples == ()
+
+
+class TestGraphHomology:
+    """H_0 of the level-N graph groupoid is the K_0 stage Z_{k**N - 1}, and H_1 = 0.
+
+    The vertex class e_x goes to psi of the point mass at -x: every relation
+    of H_0 goes to 0 and e_0 to a generator, so the map is onto, and the
+    invariant factors give H_0 the same order, so it is an isomorphism.
+    """
+
+    CASES = [(k, n) for k in range(2, 8) for n in range(1, 9)]
+
+    @staticmethod
+    def vertex_images(k, n):
+        return [psi(LocallyConstantFn.delta(k, n, -x % n)) for x in range(n)]
+
+    def test_invariant_factors_are_ones_then_the_stage_order(self):
+        for k, n in self.CASES:
+            _, factors = graph_homology(k, n)
+            # no factor is 0, so 1 - A^T is injective and H_1 = 0
+            assert factors == [1] * (n - 1) + [k ** n - 1], (k, n)
+
+    def test_vertex_classes_map_onto_the_stage_through_psi(self):
+        for k, n in self.CASES:
+            columns, _ = graph_homology(k, n)
+            images = self.vertex_images(k, n)
+            m = k ** n - 1
+            assert all(e.modulus == m for e in images)
+            for column in columns:
+                assert sum(c * e.residue for c, e in zip(column, images)) % m == 0, (k, n)
+            assert math.gcd(images[0].residue, m) == 1, (k, n)
+
+    def test_vertex_classes_sum_to_the_unit_class(self):
+        for k, n in self.CASES:
+            unit = k0_odometer(OdometerSpec(k, (n,))).k0.unit_thread[0]
+            total = sum(e.residue for e in self.vertex_images(k, n))
+            assert total % unit.modulus == unit.residue == (k ** n - 1) // (k - 1) % unit.modulus
