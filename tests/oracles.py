@@ -328,3 +328,24 @@ def graph_homology(k: int, N: int) -> tuple[list[tuple[int, ...]], list[int]]:
     relations = Matrix(N, N, lambda y, x: columns[x][y])
     diagonal = smith_normal_form(relations, domain=ZZ)
     return columns, [abs(int(diagonal[i, i])) for i in range(N)]
+
+
+def full_parser():
+    """The kcalc parser with the options of every subcommand configured.
+
+    This is how the CLI built its parser before ``build_parser`` learned to
+    configure only the subcommand its argv names: same program name,
+    description and subcommand table, but every subparser gets its options.
+    """
+    import argparse
+
+    from kcalc.cli import _SUBCOMMANDS
+
+    parser = argparse.ArgumentParser(
+        prog="kcalc",
+        description="Exact K-theory computations for odometer towers.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_, add_options) in _SUBCOMMANDS.items():
+        add_options(sub.add_parser(name, help=help_))
+    return parser

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: reports, round-trips, exit codes."""
 
+import argparse
 import io
 import json
 import math
@@ -20,6 +21,7 @@ import kcalc
 from kcalc import cli
 from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _refuse_unprintable, main
 from kcalc.groupoid import enumerate_arrows
+from oracles import full_parser
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +86,12 @@ class TestK0Command:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: malformed level list: ''\n"
+
+    def test_empty_rule_is_malformed_not_missing(self, capsys):
+        code, out, err = run_cli(capsys, "k0", "--k", "2", "--rule", "")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: malformed geometric rule: '' (expected 'c,r')\n"
 
     @pytest.mark.parametrize("stages", ["1000000", "1000000000000000000"])
     def test_long_rule_refused_before_its_levels_are_formed(self, capsys, stages):
@@ -689,14 +697,22 @@ def spoil(argv, how):
     return [*argv[:i], junk, *argv[i + 1 :]]
 
 
+# option-like words to put before the subcommand; the top-level parser takes
+# none of them, so they test which subparser build_parser configures
+PREFIX = st.lists(st.sampled_from(["--json", "--table", "-x", "--k", "--", "--values"]), max_size=2)
+
 ARGVS = st.builds(
-    spoil,
-    st.sampled_from(sorted(COMMANDS)).flatmap(
-        lambda command: st.tuples(COMMANDS[command], FORMATS).map(
-            lambda parts: [command, *(w for option_ in parts[0] for w in option_), *parts[1]]
-        )
+    lambda prefix, argv: [*prefix, *argv],
+    PREFIX,
+    st.builds(
+        spoil,
+        st.sampled_from(sorted(COMMANDS)).flatmap(
+            lambda command: st.tuples(COMMANDS[command], FORMATS).map(
+                lambda parts: [command, *(w for option_ in parts[0] for w in option_), *parts[1]]
+            )
+        ),
+        st.one_of(st.none(), st.tuples(st.integers(0, 20), JUNK)),
     ),
-    st.one_of(st.none(), st.tuples(st.integers(0, 20), JUNK)),
 )
 
 
@@ -717,3 +733,52 @@ class TestFuzzedArgv:
             assert out == ""
             assert err.endswith("\n")
             assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+
+# -- parser construction -------------------------------------------------------
+
+
+def parse_outcome(parser, words):
+    """The Namespace argparse returns, or the exit code and the text it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return parser.parse_args(words), None, "", ""
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+# words to put before and after a subcommand: help, end of options, options of
+# some subparsers or of none, a second subcommand name, and junk
+AROUND = st.lists(
+    st.sampled_from(
+        ["-h", "--", "--json", "-x", "--k", "2", "--values", "-1/2,1", "junk", "", *cli._SUBCOMMANDS]
+    ),
+    max_size=3,
+)
+PARSER_ARGVS = st.builds(
+    lambda before, body, after: [*before, *body, *after],
+    AROUND,
+    st.one_of(ARGVS, AROUND, st.sampled_from(sorted(cli._SUBCOMMANDS)).map(lambda name: [name])),
+    AROUND,
+)
+
+
+class TestParserConstruction:
+    def test_only_the_named_subcommand_gets_its_options(self):
+        parser = cli.build_parser(["k0", "--k", "2", "--levels", "1,2"])
+        parsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert list(parsers) == list(cli._SUBCOMMANDS)
+        assert {"--k", "--levels", "--rule", "--stages"} <= {
+            flag for action in parsers["k0"]._actions for flag in action.option_strings
+        }
+        for name, parser in parsers.items():
+            if name != "k0":
+                assert [a.option_strings for a in parser._actions] == [["-h", "--help"]], name
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=PARSER_ARGVS)
+    def test_parses_as_the_full_parser(self, argv):
+        words = cli._attach_values(argv)
+        assert parse_outcome(cli.build_parser(words), words) == parse_outcome(full_parser(), words)
+
