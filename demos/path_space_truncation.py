@@ -8,8 +8,16 @@ product with a full equivalence-relation block scales the arrow count by
 the square of the block size.
 """
 
-from kcalc import OdometerSpec, certify_no_isotropy, enumerate_arrows, product_with_af
-from kcalc.groupoid import Cylinder, compose_arrows, invert_arrow, refine_arrow
+from kcalc import (
+    Cylinder,
+    OdometerSpec,
+    certify_no_isotropy,
+    compose_arrows,
+    enumerate_arrows,
+    invert_arrow,
+    product_with_af,
+    refine_arrow,
+)
 
 c = Cylinder(level=4, base=0, word=(1, 2))
 print(f"cylinder {c}")

@@ -341,13 +341,6 @@ class KPowerRational:
     def as_fraction(self) -> Fraction:
         return Fraction(self.numer, self.base ** self.expo)
 
-    def times_int(self, c: int) -> "KPowerRational":
-        return KPowerRational(self.base, self.numer * c, self.expo)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numer == 0
-
     def _check_base(self, other: "KPowerRational") -> None:
         if self.base != other.base:
             raise ValueError(f"mixed bases: {self.base} and {other.base}")

@@ -220,10 +220,16 @@ def _cmd_membership(args) -> tuple[dict, list[str]]:
     ]
 
 
+def _budget_bits(args) -> int:
+    if args.budget_bits < 0:
+        raise ValueError("--budget-bits must be non-negative")
+    return args.budget_bits
+
+
 def _cmd_distinguish(args) -> tuple[dict, list[str]]:
     rule_a = _parse_rule(args.rule_a)
     rule_b = _parse_rule(args.rule_b)
-    verdict = distinguish_colimits(args.k, rule_a, rule_b, budget_bits=args.budget_bits)
+    verdict = distinguish_colimits(args.k, rule_a, rule_b, budget_bits=_budget_bits(args))
     results = {"verdict": verdict.verdict}
     if verdict.distinct:
         w = verdict.witness
@@ -240,7 +246,7 @@ def _cmd_distinguish(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_witness(args) -> tuple[dict, list[str]]:
-    w = prime_power_order_witness(args.k, args.p, args.s, budget_bits=args.budget_bits)
+    w = prime_power_order_witness(args.k, args.p, args.s, budget_bits=_budget_bits(args))
     results = {
         "q": w.q,
         "r": w.r,
@@ -261,7 +267,7 @@ def _cmd_groupoid(args) -> tuple[dict, list[str]]:
     spec = OdometerSpec(args.k, _parse_levels(args.levels))
     certificate = certify_no_isotropy(spec, args.max_disp)
     arrows = enumerate_arrows(args.k, certificate.level, args.depth, args.max_disp)
-    sample = list(islice(arrows, args.sample))
+    sample = list(islice(arrows, min(args.sample, sys.maxsize)))  # islice stops at sys.maxsize
     # One pass over the stream: the product counts the sampled arrows and the rest,
     # af_block**2 product arrows to each arrow.
     af = product_with_af(chain(sample, arrows), args.af_block)

@@ -19,7 +19,7 @@ splits each class into k copies per extra letter.
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import product
 from typing import Iterable, Iterator
 
 from .arith import _Value
@@ -28,7 +28,6 @@ from .odometer import OdometerSpec
 __all__ = [
     "Cylinder",
     "ArrowClass",
-    "ProductArrow",
     "AfProduct",
     "IsotropyCertificate",
     "ResolutionExhaustedError",
@@ -40,9 +39,6 @@ __all__ = [
     "certify_no_isotropy",
     "product_with_af",
 ]
-
-# Product arrows materialized by ``product_with_af``.
-_AF_SAMPLES = 10
 
 # Arrow classes ``enumerate_arrows`` builds at most.
 _ARROW_CAP = 2 ** 18
@@ -268,45 +264,21 @@ class IsotropyCertificate(_Value):
         self._init(stage, level, max_displacement)
 
 
-class ProductArrow(_Value):
-    """An arrow of the product with a full equivalence-relation block."""
-
-    __slots__ = ("arrow", "row", "col")
-
-    def __init__(self, arrow: ArrowClass, row: int, col: int):
-        self._init(arrow, row, col)
-
-
 class AfProduct(_Value):
-    """The arrow count of the product with a full block, and a sample of its arrows."""
+    """The arrow count of the product with a full block."""
 
-    __slots__ = ("count", "block_size", "samples")
+    __slots__ = ("count", "block_size")
 
-    def __init__(self, count: int, block_size: int, samples: tuple[ProductArrow, ...]):
-        self._init(count, block_size, samples)
+    def __init__(self, count: int, block_size: int):
+        self._init(count, block_size)
 
 
 def product_with_af(arrows: Iterable[ArrowClass], block_size: int) -> AfProduct:
     """Product with the full equivalence relation on a block of the given size.
 
     The product has exactly (number of arrows) * block_size**2 arrows; the
-    arrows are counted in one pass, and a deterministic sample of the product
-    is materialized from the front of them for inspection and composition
-    tests.
+    arrows are counted in one pass.
     """
     if block_size < 1:
         raise ValueError("block size must be positive")
-    stream = iter(arrows)
-    # block_size >= 1, so the samples come from the first _AF_SAMPLES arrows.
-    front = tuple(islice(stream, _AF_SAMPLES))
-    cells = (
-        ProductArrow(a, row, col)
-        for a in front
-        for row in range(block_size)
-        for col in range(block_size)
-    )
-    return AfProduct(
-        count=(len(front) + sum(1 for _ in stream)) * block_size ** 2,
-        block_size=block_size,
-        samples=tuple(islice(cells, _AF_SAMPLES)),
-    )
+    return AfProduct(count=sum(1 for _ in arrows) * block_size ** 2, block_size=block_size)

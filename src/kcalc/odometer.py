@@ -129,10 +129,6 @@ class LocallyConstantFn(_Value):
         if self.k != other.k or self.level != other.level:
             raise ValueError("mixed bases or levels")
 
-    @property
-    def is_zero(self) -> bool:
-        return all(v.is_zero for v in self.values)
-
 
 def translate(f: LocallyConstantFn) -> LocallyConstantFn:
     """The translation operator: (T f)(x) = f(x - 1), indices mod the level."""

@@ -222,7 +222,7 @@ def kpower_horner_psi(f):
     k, n = f.k, f.level
     acc = KPowerRational.zero(k)
     for j in range(n - 1, -1, -1):
-        acc = acc.times_int(k) + f.values[j]
+        acc = KPowerRational(k, acc.numer * k, acc.expo) + f.values[j]
     quotient = quotient_localized_by_m(SupernaturalNumber.infinite_powers_of(k), k ** n - 1)
     return quotient.reduce(acc.as_fraction())
 

@@ -332,6 +332,14 @@ class TestDistinguishCommand:
         assert out == ""
         assert err == "error: factorization out of budget: input has 102 bits, guard is 8 bits\n"
 
+    def test_negative_budget_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "distinguish", "--k", "2", "--rule-a", "1,2", "--rule-b", "1,3", "--budget-bits", "-1"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --budget-bits must be non-negative\n"
+
     def test_deep_witness_refused_before_the_power_is_formed(self, capsys):
         # the witness for 2**41 needs Phi_{2^41}(2), a number of 2**40 + 1 bits
         start = perf_counter()
@@ -355,6 +363,21 @@ class TestWitnessCommand:
         )
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "budget,code,message",
+        [
+            ("-5", EXIT_USAGE, "--budget-bits must be non-negative"),
+            ("0", EXIT_BUDGET, "factorization out of budget: Phi_{3^1}(2) has more than 0 bits, guard is 0 bits"),
+        ],
+    )
+    def test_negative_budget_exits_2_and_zero_exits_3(self, capsys, budget, code, message):
+        done, out, err = run_cli(
+            capsys, "witness", "--k", "2", "--p", "3", "--s", "1", "--budget-bits", budget
+        )
+        assert done == code
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_deep_witness_refused_before_the_power_is_formed(self, capsys):
         start = perf_counter()
@@ -435,6 +458,14 @@ class TestGroupoidCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: --sample must be non-negative\n"
+
+    def test_sample_beyond_maxsize_lists_every_arrow(self, capsys):
+        argv = ("groupoid", "--k", "2", "--levels", "1,2", "--depth", "2", "--max-disp", "1")
+        huge = run_json(capsys, *argv, "--sample", str(10 ** 20))
+        full = run_json(capsys, *argv, "--sample", "1000")
+        assert len(full["results"]["sample_arrows"]) == full["results"]["arrow_count"] == 48
+        del huge["timing_ms"], full["timing_ms"]
+        assert huge == full
 
     def test_oversize_shape_refused_before_any_arrow_is_built(self, capsys):
         # 3 * 2 * 2**41 arrow classes, about 1.3e13

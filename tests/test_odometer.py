@@ -145,7 +145,7 @@ class TestPvEndomorphism:
 
     def test_k_delta_moves_cleanly(self):
         f = LocallyConstantFn.delta(3, 4, 1)
-        scaled = LocallyConstantFn(3, tuple(v.times_int(3) for v in f.values))
+        scaled = LocallyConstantFn(3, tuple(KPowerRational(3, v.numer * 3, v.expo) for v in f.values))
         assert pv_endomorphism(scaled) == LocallyConstantFn.delta(3, 4, 2)
 
 

@@ -1,4 +1,5 @@
-"""The library imports nothing outside the standard library, and the CLI loads no dataclasses."""
+"""The library imports nothing outside the standard library, the CLI loads no dataclasses,
+and the package import leaves the CLI and argparse unloaded."""
 
 import ast
 import os
@@ -27,9 +28,18 @@ def test_every_absolute_import_is_stdlib_or_kcalc():
     assert foreign == []
 
 
-def test_cli_import_loads_no_dataclasses():
+def _loaded(statement: str, modules: set[str]) -> str:
+    """Which of ``modules`` a fresh interpreter has loaded after ``statement``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, kcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = f"import sys; {statement}; print(sorted({modules!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_dataclasses():
+    assert _loaded("import kcalc.cli", {"dataclasses", "inspect"}) == "[]"
+
+
+def test_package_import_loads_neither_cli_nor_argparse():
+    assert _loaded("import kcalc", {"kcalc.cli", "argparse"}) == "[]"
