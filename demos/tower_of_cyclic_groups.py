@@ -17,7 +17,7 @@ for k, levels in ((2, (1, 2, 4, 8)), (3, (1, 3, 9)), (5, (1, 2, 4))):
     print(f"  moduli       : {tower.moduli}")
     print(f"  multipliers  : {[h.multiplier for h in tower.maps]} (reduced)")
     print(f"  unit thread  : {[u.residue for u in tower.unit_thread]}")
-    pivots = ", ".join(str(c.pivot) for c in result.kernel_certificates)
+    pivots = ", ".join(str(pivot) for pivot in result.kernel_certificates)
     print(f"  K_1 = 0, kernel pivots {pivots}")
     print()
 

@@ -45,6 +45,11 @@ class FactorizationBudgetError(Exception):
     """Factorization target exceeds the configured size guard."""
 
 
+def _check_budget(budget_bits: int) -> None:
+    if budget_bits < 0:
+        raise ValueError(f"budget_bits must be non-negative, got {budget_bits}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test with a fixed witness set."""
     if n < 2:
@@ -198,10 +203,12 @@ def factorize(n: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> dict[int, in
     is_prime also divides by), then splits each composite cofactor by
     Pollard p-1 (stage 1, bound B = 1024) or, when that finds no proper
     divisor, by deterministic-seeded Brent rho, until is_prime accepts
-    every part.  Inputs above 2**budget_bits raise FactorizationBudgetError.
+    every part.  Inputs above 2**budget_bits raise FactorizationBudgetError;
+    a negative budget raises ValueError.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
+    _check_budget(budget_bits)
     if n.bit_length() > budget_bits:
         raise FactorizationBudgetError(
             f"factorization out of budget: input has {n.bit_length()} bits, "

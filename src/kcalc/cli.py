@@ -131,6 +131,18 @@ def _refuse_unprintable_stage(k: int, stage: int) -> None:
         )
 
 
+def _refuse_long_exponents(text: str) -> None:
+    """Refuse an exponent beyond the digit limit in magnitude: ``Fraction`` forms 10**exponent."""
+    limit = sys.get_int_max_str_digits()
+    for value in text.split(",") if limit and "E" in text.upper() else ():
+        try:
+            exponent = int(value.upper().partition("E")[2])
+        except ValueError:  # no integer exponent: Fraction reports the malformed value
+            continue
+        if abs(exponent) > limit:
+            raise ValueError(f"value {value!r} has a decimal exponent beyond {limit} in magnitude")
+
+
 def _too_long() -> ValueError:
     return ValueError(
         f"the report holds an integer of more than {sys.get_int_max_str_digits()}"
@@ -150,7 +162,7 @@ def _cmd_k0(args) -> tuple[dict, list[str]]:
         "multipliers_reduced": [h.multiplier for h in result.k0.maps],
         "unit_thread": [u.residue for u in result.k0.unit_thread],
         "k1": 0 if result.k1_trivial else "unknown",
-        "kernel_pivots": [str(c.pivot) for c in result.kernel_certificates],
+        "kernel_pivots": [str(pivot) for pivot in result.kernel_certificates],
     }
     return results, [
         "tower of cyclic groups from the finite-stage residue map: computed",
@@ -171,7 +183,7 @@ def _cmd_ok(args) -> tuple[dict, list[str]]:
         "levels": list(outcome.levels),
         "moduli": list(moduli),
         "supernatural": outcome.supernatural.describe(),
-        "stage_orders": [s.tensored_modulus for s in outcome.stages],
+        "stage_orders": [outcome.k0_order] * outcome.depth,
         "cofactors": [m // (args.k - 1) for m in moduli],
         "induced_multipliers_mod_target": list(outcome.induced_multipliers),
         "unit_class": outcome.unit_class,
@@ -190,6 +202,7 @@ def _cmd_membership(args) -> tuple[dict, list[str]]:
     if args.n < 1:
         raise ValueError("n must be >= 1")
     _refuse_unprintable(args.k, args.n, 1)
+    _refuse_long_exponents(args.values)
     try:
         fractions = [Fraction(part) for part in args.values.split(",")]
     except (ValueError, ZeroDivisionError):

@@ -16,6 +16,7 @@ from .arith import (
     FactorizationBudgetError,
     SupernaturalNumber,
     _Value,
+    _check_budget,
     factorize,
     is_prime,
     prime_factors,
@@ -152,18 +153,20 @@ class PrimePowerWitness(_Value):
     what makes the witness useful for telling inductive limits apart.
     """
 
-    __slots__ = ("k", "p", "s", "q", "r", "order")
+    __slots__ = ("k", "p", "s", "q", "r")
 
-    def __init__(self, k: int, p: int, s: int, q: int, r: int, order: int):
+    def __init__(self, k: int, p: int, s: int, q: int, r: int):
         big, small = p ** s, p ** (s - 1)
         qr = q ** r
         if pow(k, big, qr) != 1:
             raise ValueError(f"{qr} does not divide {k}**{big} - 1")
         if pow(k, small, qr) == 1:
             raise ValueError(f"{qr} divides {k}**{small} - 1")
-        if order != big:
-            raise ValueError("order certificate does not equal the prime power")
-        self._init(k, p, s, q, r, order)
+        self._init(k, p, s, q, r)
+
+    @property
+    def order(self) -> int:
+        return self.p ** self.s  # ord_{q**r}(k) for prime p: divides p**s, not p**(s-1), as checked
 
     @property
     def prime_power(self) -> int:
@@ -171,7 +174,7 @@ class PrimePowerWitness(_Value):
 
     def divisibility_holds(self, b: int) -> bool:
         """Check q**r | k**b - 1 <=> p**s | b for one exponent b."""
-        return (pow(self.k, b, self.prime_power) == 1) == (b % self.p ** self.s == 0)
+        return (pow(self.k, b, self.prime_power) == 1) == (b % self.order == 0)
 
 
 def prime_power_order_witness(
@@ -196,6 +199,7 @@ def prime_power_order_witness(
         raise ValueError(f"{p} is not prime")
     if s < 1:
         raise ValueError("s must be >= 1")
+    _check_budget(budget_bits)
     if s - 1 > budget_bits or p ** (s - 1) * (p - 1) * (k.bit_length() - 1) >= budget_bits:
         raise FactorizationBudgetError(
             f"factorization out of budget: Phi_{{{p}^{s}}}({k}) has more than"
@@ -203,7 +207,7 @@ def prime_power_order_witness(
         )
     small = k ** (p ** (s - 1)) - 1
     q = min(factorize((k ** (p ** s) - 1) // small, budget_bits=budget_bits))
-    return PrimePowerWitness(k, p, s, q, valuation(small, q) + 1, order=p ** s)
+    return PrimePowerWitness(k, p, s, q, valuation(small, q) + 1)
 
 
 class DistinguishVerdict(_Value):
@@ -306,14 +310,11 @@ class CuntzIdentification(_Value):
     localized group whose denominators avoid the primes of k - 1, is cyclic
     of order k - 1; the induced connecting maps are congruent to 1 modulo
     k - 1 (hence isomorphisms); and the unit thread lands on the generator 1.
-    The concluding isomorphism of algebras is cited, not computed.  Levels
-    and moduli are formed when read.
+    The concluding isomorphism of algebras is cited, not computed.  Only the
+    congruence that certifies every stage is stored; the rest is formed when read.
     """
 
-    __slots__ = (
-        "k", "depth", "supernatural", "stages",
-        "induced_multipliers", "k0_order", "unit_class", "k1_trivial",
-    )
+    __slots__ = ("k", "depth", "supernatural", "cofactor_congruences")
 
     citations = (
         "stage groups and connecting maps of all stages from one congruence,"
@@ -321,30 +322,41 @@ class CuntzIdentification(_Value):
         "Cuntz algebra K-theory K_0 = Z/(k-1), [1] -> 1, K_1 = 0: cited",
         "Kirchberg-Phillips classification: cited, not computed",
     )
+    k1_trivial = True  # pivot 1 - k**-n: k**n - 1 = -1 (mod k) at every level n >= 1, never 0
 
     def __init__(
         self,
         k: int,
         depth: int,
         supernatural: SupernaturalNumber,
-        stages: tuple[IdentificationStage, ...],
-        induced_multipliers: tuple[int, ...],
-        k0_order: int,
-        unit_class: int,
-        k1_trivial: bool,
+        cofactor_congruences: tuple[tuple[int, int], ...],
     ):
-        self._init(
-            k, depth, supernatural, stages,
-            induced_multipliers, k0_order, unit_class, k1_trivial,
-        )
+        self._init(k, depth, supernatural, cofactor_congruences)
+
+    @property
+    def k0_order(self) -> int:
+        return self.k - 1
+
+    @property
+    def unit_class(self) -> int:
+        return 1 % (self.k - 1)  # the cofactor c mod k - 1 at every stage, 1 by the congruence
+
+    @property
+    def induced_multipliers(self) -> tuple[int, ...]:
+        return (self.unit_class,) * (self.depth - 1)  # c_{i+1} / c_i = c / c mod k - 1
+
+    @property
+    def stages(self) -> tuple[IdentificationStage, ...]:
+        k, depth, shared, unit = self.k, self.depth, self.cofactor_congruences, self.unit_class
+        return tuple(IdentificationStage(k, i, k - 1, shared, unit) for i in range(1, depth + 1))
 
     @property
     def levels(self) -> tuple[int, ...]:
-        return tuple(s.level for s in self.stages)
+        return tuple(self.k ** i for i in range(self.depth))
 
     @property
     def moduli(self) -> tuple[int, ...]:
-        return tuple(s.modulus for s in self.stages)
+        return tuple(self.k ** n - 1 for n in self.levels)
 
 
 def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
@@ -358,7 +370,7 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     no prime of M divides c, so the tensor with the localized group of type
     ``complement(M)`` has order M; c is 1 modulo every prime of M; the unit
     class c maps to 1 mod M; and the induced connecting multiplier
-    c_{i+1} / c_i is 1 mod M.  The stages share that one certificate.
+    c_{i+1} / c_i is 1 mod M.  Only that congruence is stored, at any depth.
     K_1 = 0 at every level, as the kernel pivot 1 - k**-n has numerator
     k**n - 1 = -1 (mod k).  A failed check raises StageCongruenceError.
     """
@@ -374,23 +386,4 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     if cofactor != one:
         raise StageCongruenceError(f"cofactor is {cofactor}, not 1, mod {target}")
     congruences = tuple((p, cofactor % p) for p in prime_factors(target))
-    return CuntzIdentification(
-        k=k,
-        depth=depth,
-        supernatural=SupernaturalNumber.coprime_complement(target),
-        stages=tuple(
-            IdentificationStage(
-                k=k,
-                stage=i,
-                tensored_modulus=target,
-                cofactor_congruences=congruences,
-                unit_image=cofactor,
-            )
-            for i in range(1, depth + 1)
-        ),
-        induced_multipliers=(one,) * (depth - 1),  # c_{i+1} / c_i = c / c mod M
-        k0_order=target,
-        unit_class=one,
-        # pivot 1 - k**-n: k**n - 1 = -1 (mod k) for every level n >= 1, so it never vanishes
-        k1_trivial=True,
-    )
+    return CuntzIdentification(k, depth, SupernaturalNumber.coprime_complement(target), congruences)

@@ -4,7 +4,7 @@ A level-n locally constant function is a vector of Z[1/k] values indexed by
 the cyclic group Z_n; the odometer acts by translation.  This module holds
 the translation operator T, the endomorphism (1/k)T, the residue map psi
 that collapses a level to Z_{k**n - 1}, two independent membership criteria
-for the image of id - (1/k)T, exact kernel certificates, and the assembly of
+for the image of id - (1/k)T, the closed-form kernel pivot, and the assembly of
 the whole tower into an inductive limit of cyclic groups, whose connecting
 maps and unit classes are read off the stage moduli k**n - 1.  Finite-level
 checks of the Hilbert module identities behind the path-space picture live
@@ -30,7 +30,6 @@ from .colimit import CyclicColimit, Geometric
 __all__ = [
     "OdometerSpec",
     "LocallyConstantFn",
-    "KernelCertificate",
     "OdometerKTheory",
     "SeriesMembership",
     "CorrespondenceReport",
@@ -220,47 +219,34 @@ def membership_series(f: LocallyConstantFn) -> SeriesMembership:
     return SeriesMembership(True, g)
 
 
-class KernelCertificate(_Value):
-    """Exact certificate that id - (1/k)T has trivial kernel.
+def kernel_certificate(k: int, n: int) -> Fraction:
+    """The pivot 1 - k**-n that certifies id - (1/k)T has trivial kernel at level n.
 
     The cyclic system f(x) = (1/k) f(x - 1) forces f(0) = k**-n f(0) after
-    eliminating forward around the cycle; the closing pivot 1 - k**-n is
-    recorded in closed form, and its nonvanishing certifies that the only
-    solution is zero.
+    eliminating forward around the cycle; the closing pivot is taken in
+    closed form, and its nonvanishing certifies that only f = 0 solves it.
     """
-
-    __slots__ = ("k", "level", "pivot")
-
-    def __init__(self, k: int, level: int, pivot: Fraction):
-        self._init(k, level, pivot)
-
-    @property
-    def trivial(self) -> bool:
-        return self.pivot != 0
-
-
-def kernel_certificate(k: int, n: int) -> KernelCertificate:
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and n >= 1")
-    return KernelCertificate(k, n, 1 - Fraction(1, k ** n))
+    return 1 - Fraction(1, k ** n)
 
 
 def kernel_is_trivial(k: int, n: int) -> bool:
-    """Solve (id - (1/k)T) f = 0 exactly at level n; True iff only f = 0."""
-    return kernel_certificate(k, n).trivial
+    """True iff (id - (1/k)T) f = 0 has only f = 0 at level n: the closed-form pivot is nonzero."""
+    return kernel_certificate(k, n) != 0
 
 
 class OdometerKTheory(_Value):
-    """K-theory of the odometer tower: the K_0 colimit and K_1 certificates."""
+    """K-theory of the odometer tower: the K_0 colimit and the kernel pivot of each level."""
 
     __slots__ = ("k0", "kernel_certificates")
 
-    def __init__(self, k0: CyclicColimit, kernel_certificates: tuple[KernelCertificate, ...]):
+    def __init__(self, k0: CyclicColimit, kernel_certificates: tuple[Fraction, ...]):
         self._init(k0, kernel_certificates)
 
     @property
     def k1_trivial(self) -> bool:
-        return all(c.trivial for c in self.kernel_certificates)
+        return all(pivot != 0 for pivot in self.kernel_certificates)
 
 
 def k0_odometer(spec: OdometerSpec) -> OdometerKTheory:

@@ -260,9 +260,10 @@ def tensor_route_identification(k: int, depth: int) -> dict:
     complement(k - 1), and reads the tensored orders, cofactor residues, unit
     images and induced multipliers off those groups and maps.  K_0 is the last
     tensored stage and K_1 = 0 comes from the per-level kernel certificates.
-    Returns the fields of a ``CuntzIdentification`` (without its citations)
-    plus its levels and moduli, each stage as a dict that also holds its
-    level, modulus and cofactor.
+    Returns the fields and derived values of a ``CuntzIdentification``
+    (without its citations and its stored congruence, which each stage
+    repeats), each stage as a dict that also holds its level, modulus and
+    cofactor.
     """
     from kcalc.abelian import tensor_cyclic_with_localized
     from kcalc.arith import SupernaturalNumber, prime_factors

@@ -17,6 +17,7 @@ from kcalc.arith import (
     factorize,
     is_prime,
     multiplicative_order,
+    prime_factors,
     radical_divides,
     valuation,
 )
@@ -150,6 +151,16 @@ class TestFactorize:
         for p, e in powers.items():
             product *= p ** e
         assert product == n
+
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="budget_bits must be non-negative"):
+            factorize(15, budget_bits=-5)
+        with pytest.raises(FactorizationBudgetError, match="guard is 0 bits"):
+            factorize(15, budget_bits=0)
+
+    def test_prime_factors_refuses_a_negative_budget(self):
+        with pytest.raises(ValueError, match="budget_bits must be non-negative"):
+            prime_factors(15, budget_bits=-5)
 
     def test_rho_route_matches_sympy(self):
         # inputs whose primes all lie above the small primes 2..37, so p-1

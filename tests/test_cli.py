@@ -644,6 +644,40 @@ class TestReportPlumbing:
         assert main(["frobnicate"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("membership", "--k", "2", "--n", "2", "--values", "1e100000000,0"),
+        ("membership", "--k", "10", "--n", "2", "--values", "1e-200000,0"),
+        ("k0", "--k", "2", "--rule", "1,2", "--stages", "1000000"),
+        ("ok", "--k", "2", "--depth", "1000000000"),
+        ("groupoid", "--k", "2", "--levels", "1,2", "--depth", "40", "--max-disp", "1"),
+    ],
+    ids=["huge-exponent", "huge-negative-exponent", "long-rule", "deep-ok", "deep-groupoid"],
+)
+def test_short_argv_is_refused_at_once(argv):
+    # each would run without bound if it got past its guard; a fresh interpreter
+    # under a 1 GiB address-space limit keeps a regression from taking the host down
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(kcalc.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "kcalc", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=limit_memory,
+    )
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+
+
 # -- fuzzed argv ---------------------------------------------------------------
 
 

@@ -143,6 +143,10 @@ class TestOrderSpectrum:
         with pytest.raises(FactorizationBudgetError):
             order_spectrum(tower, budget_bits=15)
 
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="budget_bits must be non-negative"):
+            order_spectrum(binary_tower(), budget_bits=-5)
+
 
 class TestPrimePowerWitness:
     def test_example_base_two_four(self):
@@ -167,6 +171,12 @@ class TestPrimePowerWitness:
     def test_budget(self):
         with pytest.raises(FactorizationBudgetError):
             prime_power_order_witness(2, 2, 4, budget_bits=8)
+
+    def test_negative_budget_is_refused_before_the_bound(self):
+        with pytest.raises(ValueError, match="budget_bits must be non-negative"):
+            prime_power_order_witness(2, 3, 1, budget_bits=-5)
+        with pytest.raises(FactorizationBudgetError, match="guard is 0 bits"):
+            prime_power_order_witness(2, 3, 1, budget_bits=0)
 
     def test_grid_matches_full_factorization_search(self):
         # every k 2..12 and prime p < 100 with k**(p**s) - 1 within 96 bits
@@ -255,6 +265,10 @@ class TestDistinguish:
         with pytest.raises(FactorizationBudgetError, match="guard is 8 bits"):
             distinguish_colimits(2, rule_a, rule_b, budget_bits=8)
 
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="budget_bits must be non-negative"):
+            distinguish_colimits(2, Geometric(1, 2), Geometric(1, 3), budget_bits=-5)
+
     def test_distinct_implies_spectrum_disagreement(self):
         verdict = distinguish_colimits(2, Geometric(1, 2), Geometric(1, 3))
         w = verdict.witness
@@ -321,15 +335,14 @@ class TestCuntzIdentification:
         for k in range(2, 14):
             for depth in range(2, 5):
                 outcome = identify_cuntz_k_theory(k, depth)
-                got = {name: getattr(outcome, name) for name in type(outcome).__slots__}
-                got["levels"] = outcome.levels
-                got["moduli"] = outcome.moduli
+                expected = tensor_route_identification(k, depth)
+                got = {name: getattr(outcome, name) for name in expected}
                 got["stages"] = [
                     {name: getattr(s, name) for name in type(s).__slots__}
                     | {"level": s.level, "modulus": s.modulus, "cofactor": s.cofactor}
                     for s in outcome.stages
                 ]
-                assert got == tensor_route_identification(k, depth), (k, depth)
+                assert got == expected, (k, depth)
 
     def test_stage_residue_reduces_the_level_mod_k_minus_one(self):
         # k = 1 + M has order dividing M modulo M**2
@@ -343,22 +356,26 @@ class TestCuntzIdentification:
                 assert stage.unit_image == unreduced, (k, stage.stage)
 
     def test_huge_bases_answer_within_bounded_memory_and_time(self):
-        # the tower route would form (2**61)**(2**61) - 1 and 10**(6 * 10**30) - 1
+        # the tower route would form (2**61)**(2**61) - 1 and 10**(6 * 10**30) - 1;
+        # at depth 10**9 only the stored congruence is read, not the stages
         script = """
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from kcalc import identify_cuntz_k_theory
 out = []
-for k, depth in ((2**61, 2), (10**6, 6), (2**61, 20000)):
+for k, depth in ((2**61, 2), (10**6, 6), (2**61, 20000), (3, 10**9)):
     o = identify_cuntz_k_theory(k, depth)
-    out.append({
+    row = {
         "k": k,
         "k0_order": o.k0_order,
-        "tensored": [s.tensored_modulus for s in o.stages],
         "unit_class": o.unit_class,
-        "induced": list(o.induced_multipliers),
         "k1_trivial": o.k1_trivial,
-    })
+        "congruences": o.cofactor_congruences,
+    }
+    if depth <= 20000:
+        row["tensored"] = [s.tensored_modulus for s in o.stages]
+        row["induced"] = list(o.induced_multipliers)
+    out.append(row)
 json.dump(out, sys.stdout)
 """
         pytest.importorskip("resource")
@@ -368,10 +385,14 @@ json.dump(out, sys.stdout)
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20
         )
         assert done.returncode == 0, done.stderr
-        for row in json.loads(done.stdout):
+        rows = json.loads(done.stdout)
+        assert [row["k"] for row in rows] == [2**61, 10**6, 2**61, 3]
+        for row in rows:
             k = row["k"]
             assert row["k0_order"] == k - 1
-            assert row["tensored"] and all(t == k - 1 for t in row["tensored"])
             assert row["unit_class"] == 1
-            assert row["induced"] and all(u == 1 for u in row["induced"])
             assert row["k1_trivial"]
+            assert row["congruences"] and all(residue == 1 for _, residue in row["congruences"])
+            if "tensored" in row:
+                assert row["tensored"] and all(t == k - 1 for t in row["tensored"])
+                assert row["induced"] and all(u == 1 for u in row["induced"])

@@ -28,7 +28,6 @@ from kcalc.colimit import (
 from kcalc.groupoid import AfProduct, ArrowClass, Cylinder, IsotropyCertificate
 from kcalc.odometer import (
     CorrespondenceReport,
-    KernelCertificate,
     LocallyConstantFn,
     OdometerKTheory,
     OdometerSpec,
@@ -80,7 +79,7 @@ COLIMIT = (
     f"CyclicColimit(moduli=(3, 15), maps=({HOM},), unit_thread=(CyclicElement(modulus=3, residue=1),"
     f" CyclicElement(modulus=15, residue=5)), level_rule={RULE})"
 )
-WITNESS = "PrimePowerWitness(k=2, p=3, s=1, q=7, r=1, order=3)"
+WITNESS = "PrimePowerWitness(k=2, p=3, s=1, q=7, r=1)"
 STAGE = "IdentificationStage(k=3, stage={}, tensored_modulus=2, cofactor_congruences=((2, 1),), unit_image=1)"
 FN = "LocallyConstantFn(k=2, values=(KPowerRational(1, base=2), KPowerRational(1/2^1)))"
 ARROW = (
@@ -93,10 +92,8 @@ def _value_cases():
     hom = CyclicHom(3, 15, 5)
     units = (CyclicElement(3, 1), CyclicElement(15, 5))
     colimit = CyclicColimit((3, 15), (hom,), units, Geometric(2, 2))
-    witness = PrimePowerWitness(2, 3, 1, 7, 1, 3)
-    stages = tuple(IdentificationStage(3, i, 2, ((2, 1),), 1) for i in (1, 2))
+    witness = PrimePowerWitness(2, 3, 1, 7, 1)
     fn = LocallyConstantFn(2, (KPowerRational(2, 1), KPowerRational(2, 1, 1)))
-    certificate = KernelCertificate(2, 2, Fraction(3, 4))
     return [
         (CyclicElement, (5, 7), ("modulus", "residue"), "CyclicElement(modulus=5, residue=2)", {}),
         (
@@ -130,7 +127,7 @@ def _value_cases():
             {"unit_thread": None, "level_rule": None},
         ),
         (OrderBound, (3, True), ("prefix_max", "exact"), "OrderBound(prefix_max=3, exact=True)", {}),
-        (PrimePowerWitness, (2, 3, 1, 7, 1, 3), ("k", "p", "s", "q", "r", "order"), WITNESS, {}),
+        (PrimePowerWitness, (2, 3, 1, 7, 1), ("k", "p", "s", "q", "r"), WITNESS, {}),
         (
             DistinguishVerdict,
             (True, 3, 1, witness, 2),
@@ -147,14 +144,10 @@ def _value_cases():
         ),
         (
             CuntzIdentification,
-            (3, 2, SupernaturalNumber.coprime_complement(2), stages, (1,), 2, 1, True),
-            (
-                "k", "depth", "supernatural", "stages", "induced_multipliers",
-                "k0_order", "unit_class", "k1_trivial",
-            ),
-            f"CuntzIdentification(k=3, depth=2, supernatural=SupernaturalNumber(complement(2)),"
-            f" stages=({STAGE.format(1)}, {STAGE.format(2)}), induced_multipliers=(1,), k0_order=2,"
-            " unit_class=1, k1_trivial=True)",
+            (3, 2, SupernaturalNumber.coprime_complement(2), ((2, 1),)),
+            ("k", "depth", "supernatural", "cofactor_congruences"),
+            "CuntzIdentification(k=3, depth=2, supernatural=SupernaturalNumber(complement(2)),"
+            " cofactor_congruences=((2, 1),))",
             {},
         ),
         (
@@ -167,18 +160,10 @@ def _value_cases():
         (LocallyConstantFn, (2, [KPowerRational(2, 1), KPowerRational(2, 1, 1)]), ("k", "values"), FN, {}),
         (SeriesMembership, (True, fn), ("member", "witness"), f"SeriesMembership(member=True, witness={FN})", {}),
         (
-            KernelCertificate,
-            (2, 3, Fraction(7, 8)),
-            ("k", "level", "pivot"),
-            "KernelCertificate(k=2, level=3, pivot=Fraction(7, 8))",
-            {},
-        ),
-        (
             OdometerKTheory,
-            (colimit, (certificate,)),
+            (colimit, (Fraction(3, 4),)),
             ("k0", "kernel_certificates"),
-            f"OdometerKTheory(k0={COLIMIT}, kernel_certificates=(KernelCertificate(k=2, level=2,"
-            " pivot=Fraction(3, 4)),))",
+            f"OdometerKTheory(k0={COLIMIT}, kernel_certificates=(Fraction(3, 4),))",
             {},
         ),
         (

@@ -308,15 +308,14 @@ class TestKernel:
         assert dense_kernel_is_trivial(k, n) is True
 
     def test_certificate_pivot(self):
-        cert = kernel_certificate(2, 3)
-        assert cert.pivot == Fraction(7, 8)
-        assert cert.trivial
+        assert kernel_certificate(2, 3) == Fraction(7, 8)
+        assert kernel_is_trivial(2, 3)
 
     def test_closed_form_pivot_matches_elimination(self):
         for k in range(2, 7):
             for n in range(1, 65):
-                assert kernel_certificate(k, n).pivot == eliminated_kernel_pivot(k, n)
-        assert kernel_certificate(2, 4096).pivot == eliminated_kernel_pivot(2, 4096)
+                assert kernel_certificate(k, n) == eliminated_kernel_pivot(k, n)
+        assert kernel_certificate(2, 4096) == eliminated_kernel_pivot(2, 4096)
 
 
 class TestFiniteStage:
@@ -402,5 +401,5 @@ class TestK0Odometer:
 
     def test_kernel_certificates_per_level(self):
         result = k0_odometer(OdometerSpec(3, (1, 2, 4, 8)))
-        assert [c.level for c in result.kernel_certificates] == [1, 2, 4, 8]
-        assert all(c.trivial for c in result.kernel_certificates)
+        assert result.kernel_certificates == tuple(1 - Fraction(1, 3 ** n) for n in (1, 2, 4, 8))
+        assert all(pivot != 0 for pivot in result.kernel_certificates)
