@@ -156,6 +156,8 @@ class PrimePowerWitness(_Value):
     __slots__ = ("k", "p", "s", "q", "r")
 
     def __init__(self, k: int, p: int, s: int, q: int, r: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         big, small = p ** s, p ** (s - 1)
         qr = q ** r
         if pow(k, big, qr) != 1:
@@ -166,7 +168,7 @@ class PrimePowerWitness(_Value):
 
     @property
     def order(self) -> int:
-        return self.p ** self.s  # ord_{q**r}(k) for prime p: divides p**s, not p**(s-1), as checked
+        return self.p ** self.s  # ord_{q**r}(k): divides p**s, not p**(s-1), as checked
 
     @property
     def prime_power(self) -> int:
@@ -213,17 +215,25 @@ def prime_power_order_witness(
 class DistinguishVerdict(_Value):
     """Outcome of comparing two geometric level rules at a fixed base k."""
 
-    __slots__ = ("distinct", "prime", "exponent", "witness", "first_stage_with_order")
+    __slots__ = ("distinct", "witness", "first_stage_with_order")
 
     def __init__(
         self,
         distinct: bool,
-        prime: int | None = None,
-        exponent: int | None = None,
         witness: PrimePowerWitness | None = None,
         first_stage_with_order: int | None = None,
     ):
-        self._init(distinct, prime, exponent, witness, first_stage_with_order)
+        self._init(distinct, witness, first_stage_with_order)
+
+    @property
+    def prime(self) -> int | None:
+        """The prime p of the qualifying prime power p**s, or None without a witness."""
+        return None if self.witness is None else self.witness.p
+
+    @property
+    def exponent(self) -> int | None:
+        """The exponent s of the qualifying prime power p**s, or None without a witness."""
+        return None if self.witness is None else self.witness.s
 
     @property
     def verdict(self) -> str:
@@ -261,13 +271,7 @@ def distinguish_colimits(
             stage = 1
         else:
             stage = 1 + -(-(s - vc) // vr)
-        return DistinguishVerdict(
-            distinct=True,
-            prime=p,
-            exponent=s,
-            witness=witness,
-            first_stage_with_order=stage,
-        )
+        return DistinguishVerdict(distinct=True, witness=witness, first_stage_with_order=stage)
     return DistinguishVerdict(distinct=False)
 
 

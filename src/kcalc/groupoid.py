@@ -43,8 +43,9 @@ __all__ = [
 # Arrow classes ``enumerate_arrows`` builds at most.
 _ARROW_CAP = 2 ** 18
 
-# Every enumerated arrow builds an ArrowClass and a target Cylinder; their
-# constructors store each field through this name, saving an attribute lookup.
+# Every enumerated arrow builds an ArrowClass, and every cylinder of the
+# enumeration's rows a Cylinder; their constructors store each field through
+# this name, saving an attribute lookup.
 _store = object.__setattr__
 
 
@@ -128,16 +129,20 @@ def enumerate_arrows(
     max(n - m, 0) in the tail; when t = min(m, n) >= 1 the last head letter
     differs from source.word[n-1], which makes the witness least.  The order
     is d = m - n, then t, the source base, the source word, the head and the
-    tail, each word in lexicographic order; one source Cylinder is shared by
-    all its classes.
+    tail, each word in lexicographic order.  Each Cylinder is built once per
+    call: one row per base holds the cylinders of every word in that order,
+    so the targets of a source and head are one slice of the target base's
+    row, and a class with m = n = 0 has its source as its target.
 
     The count has a closed form: each displacement contributes
     N * k**(depth + max_displacement) classes, independent of the
-    displacement.  The classes are yielded one at a time, so a caller that
-    counts or samples them holds none but those it keeps.  The arguments are
-    checked at call time, before the first class: a bad argument, or a shape
-    with more than 2**18 classes (a bound on time), raises ValueError here,
-    not at the first next().
+    displacement.  The classes are yielded one at a time.  The rows hold
+    N * k**depth cylinders, at most a sixth of the count when k >= 2; with
+    max_displacement 0 there are no rows, each cylinder is built when it is
+    reached, and a caller that counts or samples the classes holds none but
+    those it keeps.  The arguments are checked at call time, before the
+    first class: a bad argument, or a shape with more than 2**18 classes (a
+    bound on time), raises ValueError here, not at the first next().
     """
     if k < 1 or vertex_level < 1 or depth < 0:
         raise ValueError("need k >= 1, vertex_level >= 1 and depth >= 0")
@@ -164,23 +169,45 @@ def _arrows(
 ) -> Iterator[ArrowClass]:
     """The classes of ``enumerate_arrows``, in its order, for checked arguments."""
     alphabet = tuple(range(1, k + 1))
+    if not max_displacement:
+        # The one block is m = n = 0, where each class pairs a cylinder with itself.
+        for base in range(vertex_level):
+            for word in product(alphabet, repeat=depth):
+                source = Cylinder(vertex_level, base, word)
+                yield ArrowClass(source, source, 0, 0)
+        return
+    # rows[base] holds the cylinders of every word at that base in product order:
+    # letter j of word i is 1 + the j-th of the depth base-k digits of i, leading first.
+    words = tuple(product(alphabet, repeat=depth))
+    rows: list = [None] * vertex_level
+
+    def row(base: int) -> list:
+        if rows[base] is None:
+            rows[base] = [Cylinder(vertex_level, base, word) for word in words]
+        return rows[base]
+
     for d in range(-max_displacement, max_displacement + 1):
         for t in range(max_displacement - abs(d) + 1):
             m = max(d, 0) + t
             n = max(-d, 0) + t
             overlap = depth - max(m, n)
-            heads = tuple(product(alphabet, repeat=m))
-            tails = tuple(product(alphabet, repeat=depth - m - overlap))
+            # A target word is head + source.word[n:n+overlap] + tail, so its index
+            # is head * k**(depth - m) + (the overlap's index) * k**tail + tail.
+            block, run = k ** (depth - m), k ** (depth - m - overlap)
+            below_overlap, overlaps = k ** (depth - n - overlap), k ** overlap
+            below_blocked = k ** (depth - n)
+            heads = range(k ** m)
             for base_src in range(vertex_level):
-                base_tgt = (base_src + n - m) % vertex_level
-                for word_src in product(alphabet, repeat=depth):
-                    source = Cylinder(vertex_level, base_src, word_src)
-                    shared = word_src[n : n + overlap]
+                targets = row((base_src + n - m) % vertex_level)
+                for i, source in enumerate(row(base_src)):
+                    start = (i // below_overlap) % overlaps * run
+                    # for t >= 1 the last head letter differs from source.word[n-1]
+                    blocked = (i // below_blocked) % k if t else -1
                     for head in heads:
-                        if t >= 1 and head[-1] == word_src[n - 1]:
+                        if head % k == blocked:
                             continue
-                        for tail in tails:
-                            target = Cylinder(vertex_level, base_tgt, head + shared + tail)
+                        first = head * block + start
+                        for target in targets[first : first + run]:
                             yield ArrowClass(source, target, m, n)
 
 

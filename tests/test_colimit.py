@@ -14,6 +14,7 @@ from kcalc.arith import FactorizationBudgetError, valuation
 from kcalc.colimit import (
     CyclicColimit,
     Geometric,
+    PrimePowerWitness,
     distinguish_colimits,
     identify_cuntz_k_theory,
     order_spectrum,
@@ -220,6 +221,13 @@ class TestPrimePowerWitness:
         with pytest.raises(ValueError):
             prime_power_order_witness(1, 2, 1)
 
+    def test_constructor_refuses_a_composite_p(self):
+        # 5 divides 4**4 - 1 but not 4**1 - 1, yet the order of 4 mod 5 is 2, not 4
+        for p in (4, 1, 0, -3):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                PrimePowerWitness(4, p, 1, 5, 1)
+        assert PrimePowerWitness(4, 2, 1, 5, 1).divisibility_holds(2)
+
 
 class TestDistinguish:
     def test_example_ratio_two_vs_three(self):
@@ -241,6 +249,7 @@ class TestDistinguish:
             verdict = distinguish_colimits(2, rule, rule)
             assert not verdict.distinct
             assert verdict.witness is None
+            assert verdict.prime is verdict.exponent is None
 
     def test_cofinal_rules_inconclusive(self):
         # same ratio, shifted start: every prime power reached by one is

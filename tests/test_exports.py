@@ -130,9 +130,9 @@ def _value_cases():
         (PrimePowerWitness, (2, 3, 1, 7, 1), ("k", "p", "s", "q", "r"), WITNESS, {}),
         (
             DistinguishVerdict,
-            (True, 3, 1, witness, 2),
-            ("distinct", "prime", "exponent", "witness", "first_stage_with_order"),
-            f"DistinguishVerdict(distinct=True, prime=3, exponent=1, witness={WITNESS}, first_stage_with_order=2)",
+            (True, witness, 2),
+            ("distinct", "witness", "first_stage_with_order"),
+            f"DistinguishVerdict(distinct=True, witness={WITNESS}, first_stage_with_order=2)",
             {"prime": None, "exponent": None, "witness": None, "first_stage_with_order": None},
         ),
         (

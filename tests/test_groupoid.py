@@ -1,6 +1,7 @@
 """Tests for cylinders, arrow enumeration and isotropy certificates."""
 
 import math
+import tracemalloc
 from collections.abc import Iterator
 
 import pytest
@@ -114,7 +115,17 @@ class TestEnumerate:
 
     @pytest.mark.parametrize(
         "k,level,depth,disp",
-        [(2, 2, 2, 1), (2, 3, 2, 2), (3, 2, 3, 1), (2, 1, 2, 2), (1, 3, 2, 1), (3, 1, 3, 2)],
+        [
+            (2, 2, 2, 1),
+            (2, 3, 2, 2),
+            (3, 2, 3, 1),
+            (2, 1, 2, 2),
+            (1, 3, 2, 1),
+            (3, 1, 3, 2),
+            (3, 3, 3, 2),
+            (4, 2, 2, 2),
+            (2, 5, 4, 2),
+        ],
     )
     def test_matches_pair_scan_oracle(self, k, level, depth, disp):
         ours = [arrow_key(a) for a in enumerate_arrows(k, level, depth, disp)]
@@ -127,6 +138,29 @@ class TestEnumerate:
             return (m - n, min(m, n), base_s, word_s, word_t[:m], word_t[depth - max(n - m, 0) :])
 
         assert ours == sorted(expected, key=order)
+
+    @pytest.mark.parametrize("k,level,depth,disp", [(2, 3, 3, 1), (3, 2, 2, 2), (2, 1, 4, 4), (1, 2, 3, 1)])
+    def test_each_cylinder_is_built_once(self, k, level, depth, disp):
+        arrows = list(enumerate_arrows(k, level, depth, disp))
+        cylinders = {id(c): c for a in arrows for c in (a.source, a.target)}
+        assert len(cylinders) == len(set(cylinders.values())) == level * k ** depth
+
+    @pytest.mark.parametrize("args", [(2, 3, 3, 1), (3, 2, 2, 2), (2, 4, 3, 0)])
+    def test_unshifted_classes_pair_a_cylinder_with_itself(self, args):
+        unshifted = [a for a in enumerate_arrows(*args) if a.m == a.n == 0]
+        assert len(unshifted) == args[1] * args[0] ** args[2]
+        assert all(a.source is a.target for a in unshifted)
+
+    def test_zero_displacement_streams_in_constant_memory(self):
+        # 2**14 classes, none held: the peak stays that of a few live objects
+        arrows = enumerate_arrows(2, 1, 14, 0)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in arrows) == 2 ** 14
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
     def test_no_duplicates(self):
         arrows = enumerate_arrows(3, 2, 3, 2)
