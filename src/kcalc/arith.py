@@ -395,14 +395,16 @@ class KPowerRational:
         return str(self.as_fraction())
 
 
-class SupernaturalNumber:
+class SupernaturalNumber(_Value):
     """A divisibility type: formal product of primes with multiplicities in N or infinity.
 
-    One format holds every such number: the multiplicities of finitely many
-    listed primes, plus one multiplicity (0, or None for infinity) shared by
-    every prime not listed.  A listed multiplicity always differs from the
-    shared one, so equal numbers have equal fields.  Two constructors cover
-    everything the toolkit needs:
+    ``powers`` lists ``(prime, multiplicity)`` pairs sorted by prime, and
+    ``rest`` is the multiplicity, 0 or None (infinity), of every prime not
+    listed.  The constructor sorts the pairs and drops each whose
+    multiplicity equals ``rest``, so equal numbers have equal fields; it
+    raises ValueError for a non-prime, a prime listed twice, a multiplicity
+    that is neither a non-negative integer nor None, or another ``rest``.
+    Two named constructors cover what the toolkit needs:
 
     * ``from_powers({p: e or None})`` -- an explicit description; ``None``
       means infinite multiplicity, primes not listed have multiplicity 0.
@@ -410,57 +412,44 @@ class SupernaturalNumber:
       multiplicity, every prime dividing d has multiplicity 0.
     """
 
-    __slots__ = ("_powers", "_rest")
+    __slots__ = ("powers", "rest")
 
-    def __init__(self):
-        raise TypeError("use SupernaturalNumber.from_powers or .coprime_complement")
-
-    @classmethod
-    def _make(cls, powers, rest) -> "SupernaturalNumber":
-        self = object.__new__(cls)
-        self._powers = powers
-        self._rest = rest
-        return self
+    def __init__(self, powers, rest: int | None):
+        if rest is not None and (type(rest) is not int or rest != 0):
+            raise ValueError("rest must be 0 or None")
+        listed: dict[int, int | None] = {}
+        for p, e in powers:
+            if type(p) is not int or not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            if e is not None and (type(e) is not int or e < 0):
+                raise ValueError("multiplicity must be non-negative or None")
+            if p in listed:
+                raise ValueError(f"{p} is listed twice")
+            listed[p] = e
+        self._init(tuple(sorted((p, e) for p, e in listed.items() if e != rest)), rest)
 
     @classmethod
     def from_powers(cls, powers: dict[int, int | None]) -> "SupernaturalNumber":
-        clean: dict[int, int | None] = {}
-        for p, e in powers.items():
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if e is None:
-                clean[p] = None
-            elif e < 0:
-                raise ValueError("multiplicity must be non-negative or None")
-            elif e > 0:
-                clean[p] = e
-        return cls._make(clean, 0)
+        return cls(powers.items(), 0)
 
     @classmethod
     def coprime_complement(cls, d: int) -> "SupernaturalNumber":
         if d < 1:
             raise ValueError("d must be positive")
-        return cls._make(dict.fromkeys(prime_factors(d), 0), None)
-
-    @classmethod
-    def infinite_powers_of(cls, k: int) -> "SupernaturalNumber":
-        """The supernatural number k^infinity (all primes of k, infinitely often)."""
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        return cls.from_powers({p: None for p in prime_factors(k)})
+        return cls([(p, 0) for p in prime_factors(d)], None)
 
     def multiplicity(self, p: int) -> int | None:
         """v_p of this supernatural number; None encodes infinity."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        return self._powers.get(p, self._rest)
+        return dict(self.powers).get(p, self.rest)
 
     def _split(self, m: int) -> tuple[list[tuple[int, int, int | None]], int]:
         """(p, v_p(m), multiplicity) for each listed prime p, and the rest of m."""
         if m < 1:
             raise ValueError("m must be positive")
         listed = []
-        for p, e in self._powers.items():
+        for p, e in self.powers:
             v = 0
             while m % p == 0:
                 m //= p
@@ -472,43 +461,32 @@ class SupernaturalNumber:
         """True iff every prime p satisfies v_p(m) <= v_p(self)."""
         listed, rest = self._split(m)
         return all(e is None or v <= e for _, v, e in listed) and (
-            rest == 1 or self._rest is None
+            rest == 1 or self.rest is None
         )
 
     def coprime_to_all_of(self, m: int) -> bool:
         """True iff every prime of m has multiplicity 0 here."""
         listed, rest = self._split(m)
         return all(v == 0 or e == 0 for _, v, e in listed) and (
-            rest == 1 or self._rest == 0
+            rest == 1 or self.rest == 0
         )
 
     def finite_part(self, m: int) -> int:
         """The part of m at the primes whose multiplicity here is finite."""
         listed, rest = self._split(m)
-        part = 1 if self._rest is None else rest
+        part = 1 if self.rest is None else rest
         for p, v, e in listed:
             if e is not None:
                 part *= p ** v
         return part
 
     def describe(self) -> str:
-        if self._rest is None:
-            return f"complement({math.prod(self._powers)})"
-        if not self._powers:
-            return "1"
-        parts = []
-        for p in sorted(self._powers):
-            e = self._powers[p]
-            parts.append(f"{p}^inf" if e is None else f"{p}^{e}")
-        return "*".join(parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SupernaturalNumber):
-            return NotImplemented
-        return self._powers == other._powers and self._rest == other._rest
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self._powers.items()), self._rest))
+        """``complement(d)`` if rest is None, d the product of the listed primes,
+        then ``p^e`` (``p^inf`` for infinity) for each listed p with e > 0."""
+        parts = [f"{p}^inf" if e is None else f"{p}^{e}" for p, e in self.powers if e != 0]
+        if self.rest is None:
+            parts.insert(0, f"complement({math.prod(p for p, _ in self.powers)})")
+        return "*".join(parts) or "1"
 
     def __repr__(self) -> str:
         return f"SupernaturalNumber({self.describe()})"

@@ -389,5 +389,6 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     cofactor = (pow(k, one, square) - 1) % square // target
     if cofactor != one:
         raise StageCongruenceError(f"cofactor is {cofactor}, not 1, mod {target}")
-    congruences = tuple((p, cofactor % p) for p in prime_factors(target))
-    return CuntzIdentification(k, depth, SupernaturalNumber.coprime_complement(target), congruences)
+    primes = prime_factors(target)
+    congruences = tuple((p, cofactor % p) for p in primes)
+    return CuntzIdentification(k, depth, SupernaturalNumber([(p, 0) for p in primes], None), congruences)

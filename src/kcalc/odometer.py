@@ -100,10 +100,12 @@ class LocallyConstantFn(_Value):
     @classmethod
     def delta(cls, k: int, level: int, j: int) -> "LocallyConstantFn":
         """The indicator of the single residue j."""
-        return cls.indicator(k, level, {j % level})
+        return cls.indicator(k, level, {j})
 
     @classmethod
     def indicator(cls, k: int, level: int, support) -> "LocallyConstantFn":
+        if level < 1:
+            raise ValueError("level must be at least 1")
         support = {x % level for x in support}
         return cls(
             k,

@@ -223,7 +223,9 @@ def kpower_horner_psi(f):
     acc = KPowerRational.zero(k)
     for j in range(n - 1, -1, -1):
         acc = KPowerRational(k, acc.numer * k, acc.expo) + f.values[j]
-    quotient = quotient_localized_by_m(SupernaturalNumber.infinite_powers_of(k), k ** n - 1)
+    quotient = quotient_localized_by_m(
+        SupernaturalNumber.from_powers({p: None for p in trial_division_factorize(k)}), k ** n - 1
+    )
     return quotient.reduce(acc.as_fraction())
 
 

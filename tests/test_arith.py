@@ -1,5 +1,7 @@
 """Tests for the exact-arithmetic foundation."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd, prod
 from random import Random
@@ -286,15 +288,33 @@ class TestSupernatural:
         assert SupernaturalNumber.coprime_complement(6).coprime_to_all_of(12)
         assert not SupernaturalNumber.coprime_complement(6).coprime_to_all_of(5)
 
-    def test_infinite_powers_of(self):
-        s = SupernaturalNumber.infinite_powers_of(10)
-        assert s == SupernaturalNumber.from_powers({2: None, 5: None})
-
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
             SupernaturalNumber.from_powers({4: 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^multiplicity must be non-negative or None$"):
             SupernaturalNumber.from_powers({2: -1})
+
+    @pytest.mark.parametrize(
+        "powers, rest",
+        [
+            ([(6, 1)], 0),
+            ([(2, -1)], None),
+            ([(2, 1.5)], 0),
+            ([(3, 1), (3, 2)], 0),
+            ([(2, 1)], 1),
+        ],
+        ids=["non-prime", "negative", "non-integer", "listed-twice", "rest-not-0-or-None"],
+    )
+    def test_constructor_refuses(self, powers, rest):
+        with pytest.raises(ValueError):
+            SupernaturalNumber(powers, rest)
+
+    def test_fields_are_the_normal_form(self):
+        s = SupernaturalNumber([(3, 2), (5, 0), (2, None)], 0)
+        assert (s.powers, s.rest) == (((2, None), (3, 2)), 0)
+        c = SupernaturalNumber.coprime_complement(12)
+        assert (c.powers, c.rest) == (((2, 0), (3, 0)), None)
+        assert SupernaturalNumber([(7, None)], None) == SupernaturalNumber.coprime_complement(1)
 
 
     # Each case pairs a number with its multiplicities read off the constructor's argument.
@@ -306,6 +326,21 @@ class TestSupernatural:
             lambda d: (SupernaturalNumber.coprime_complement(d), lambda p: 0 if d % p == 0 else None)
         ),
     )
+
+    PAIRS = st.lists(
+        st.tuples(st.sampled_from([2, 3, 5, 7, 11]), st.none() | st.integers(0, 3)),
+        unique_by=lambda pair: pair[0],
+    )
+
+    @given(CASES, PAIRS, st.sampled_from([0, None]), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_one_normal_form(self, case, pairs, rest, rng):
+        s = case[0]
+        assert s == SupernaturalNumber(s.powers, s.rest)
+        for copy_ in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+            assert copy_ == s
+        a, b = SupernaturalNumber(pairs, rest), SupernaturalNumber(rng.sample(pairs, len(pairs)), rest)
+        assert a == b and hash(a) == hash(b)
 
     @given(CASES, st.integers(1, 10 ** 4))
     @settings(max_examples=300)

@@ -10,7 +10,7 @@ import pytest
 from sympy import factorint, primerange
 
 from kcalc.abelian import CyclicElement, CyclicHom
-from kcalc.arith import FactorizationBudgetError, valuation
+from kcalc.arith import FactorizationBudgetError, SupernaturalNumber, valuation
 from kcalc.colimit import (
     CyclicColimit,
     Geometric,
@@ -324,6 +324,14 @@ class TestCuntzIdentification:
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
             identify_cuntz_k_theory(3, 1)
+
+    def test_factors_k_minus_one_once(self, monkeypatch):
+        calls = []
+        factorize = kcalc.arith.factorize
+        monkeypatch.setattr(kcalc.arith, "factorize", lambda n, **kw: calls.append(n) or factorize(n, **kw))
+        outcome = identify_cuntz_k_theory(13, 4)
+        assert calls == [12]
+        assert outcome.supernatural == SupernaturalNumber.coprime_complement(12)
 
     def test_citations_mark_classification_as_cited(self):
         outcome = identify_cuntz_k_theory(3, 2)

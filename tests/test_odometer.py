@@ -134,6 +134,22 @@ class TestTranslate:
         assert g == f
 
 
+class TestLevelBelowOne:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LocallyConstantFn.zero(2, 0),
+            lambda: LocallyConstantFn.delta(2, 0, 0),
+            lambda: LocallyConstantFn.indicator(2, 0, {1}),
+            lambda: LocallyConstantFn.delta(2, -1, 0),
+        ],
+        ids=["zero", "delta", "indicator", "delta-negative"],
+    )
+    def test_refused_with_one_message(self, build):
+        with pytest.raises(ValueError, match="^level must be at least 1$"):
+            build()
+
+
 class TestPvEndomorphism:
     def test_delta_definition(self):
         out = pv_endomorphism(LocallyConstantFn.delta(2, 2, 0))
