@@ -254,12 +254,13 @@ class _Value:
 
     A subclass names its fields in ``__slots__``, in the order of its
     ``__init__`` parameters.  Its ``__init__`` checks the arguments and
-    stores each field once, by ``_init`` or, on a hot path, by one
-    ``object.__setattr__`` call per field.  Equality and hash compare the
-    fields in that order, and only between instances of the same class; the
-    repr is ``Name(field=value, ...)``; assigning or deleting an attribute
-    raises AttributeError.  Copies and pickles pass the fields to
-    ``__init__`` in order.
+    stores each field once, by ``_init`` or, on a hot path, by one call per
+    field of that slot's setter, ``Cls.__dict__[name].__set__``, bound once
+    at module level.  Equality and hash compare the fields in that order,
+    and only between instances of the same class; the repr is
+    ``Name(field=value, ...)``; assigning or deleting an attribute raises
+    AttributeError.  Copies and pickles pass the fields to ``__init__`` in
+    order.
     """
 
     __slots__ = ()

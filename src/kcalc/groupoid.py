@@ -19,7 +19,7 @@ splits each class into k copies per extra letter.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Iterable, Iterator
 
 from .arith import _Value
@@ -43,11 +43,6 @@ __all__ = [
 # Arrow classes ``enumerate_arrows`` builds at most.
 _ARROW_CAP = 2 ** 18
 
-# Every enumerated arrow builds an ArrowClass, and every cylinder of the
-# enumeration's rows a Cylinder; their constructors store each field through
-# this name, saving an attribute lookup.
-_store = object.__setattr__
-
 
 class ResolutionExhaustedError(ValueError):
     """A cylinder with an empty word cannot be shifted further."""
@@ -65,9 +60,9 @@ class Cylinder(_Value):
     def __init__(self, level: int, base: int, word: tuple[int, ...]):
         if level < 1:
             raise ValueError("vertex level must be positive")
-        _store(self, "level", level)
-        _store(self, "base", base % level)
-        _store(self, "word", tuple(word))
+        _set_level(self, level)
+        _set_base(self, base % level)
+        _set_word(self, tuple(word))
 
     @property
     def depth(self) -> int:
@@ -93,24 +88,40 @@ class ArrowClass(_Value):
     def __init__(self, source: Cylinder, target: Cylinder, m: int, n: int):
         if m < 0 or n < 0:
             raise ValueError("shift exponents must be non-negative")
-        if source.level != target.level:
+        level = source.level
+        if level != target.level:
             raise ValueError("source and target live at different vertex levels")
-        source_word, target_word = source.word, target.word
-        if m > len(target_word) or n > len(source_word):
+        source_word = source.word
+        target_word = target.word
+        source_rest = len(source_word) - n
+        target_rest = len(target_word) - m
+        if target_rest < 0 or source_rest < 0:
             raise ResolutionExhaustedError("shift exponents exceed the word depth")
-        overlap = min(len(target_word) - m, len(source_word) - n)
-        if (target.base + m - source.base - n) % target.level or (
+        overlap = target_rest if target_rest < source_rest else source_rest
+        if (target.base + m - source.base - n) % level or (
             target_word[m : m + overlap] != source_word[n : n + overlap]
         ):
             raise ValueError("cylinders do not match under the declared shifts")
-        _store(self, "source", source)
-        _store(self, "target", target)
-        _store(self, "m", m)
-        _store(self, "n", n)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_m(self, m)
+        _set_n(self, n)
 
     @property
     def displacement(self) -> int:
         return self.m - self.n
+
+
+# Every enumerated arrow builds an ArrowClass, and every cylinder of the
+# enumeration's rows a Cylinder.  Their constructors store each field through
+# its slot's own setter, bound once here: it skips the name lookup and the
+# generic call of ``object.__setattr__``.
+_set_level, _set_base, _set_word = (
+    Cylinder.__dict__[name].__set__ for name in Cylinder.__slots__
+)
+_set_source, _set_target, _set_m, _set_n = (
+    ArrowClass.__dict__[name].__set__ for name in ArrowClass.__slots__
+)
 
 
 def enumerate_arrows(
@@ -131,8 +142,11 @@ def enumerate_arrows(
     is d = m - n, then t, the source base, the source word, the head and the
     tail, each word in lexicographic order.  Each Cylinder is built once per
     call: one row per base holds the cylinders of every word in that order,
-    so the targets of a source and head are one slice of the target base's
-    row, and a class with m = n = 0 has its source as its target.
+    and a class with m = n = 0 has its source as its target.  The row index
+    of each target depends only on (d, t) and the source's index, so each
+    (d, t) block computes the target indices of its classes once, and every
+    source base reuses them: its classes come from one ``map`` of the
+    ArrowClass constructor, which checks each one, over the two rows.
 
     The count has a closed form: each displacement contributes
     N * k**(depth + max_displacement) classes, independent of the
@@ -168,17 +182,24 @@ def _arrows(
     k: int, vertex_level: int, depth: int, max_displacement: int
 ) -> Iterator[ArrowClass]:
     """The classes of ``enumerate_arrows``, in its order, for checked arguments."""
-    alphabet = tuple(range(1, k + 1))
-    if not max_displacement:
-        # The one block is m = n = 0, where each class pairs a cylinder with itself.
-        for base in range(vertex_level):
-            for word in product(alphabet, repeat=depth):
-                source = Cylinder(vertex_level, base, word)
-                yield ArrowClass(source, source, 0, 0)
-        return
+    if max_displacement:
+        return chain.from_iterable(_blocks(k, vertex_level, depth, max_displacement))
+    # The one block is m = n = 0, where each class pairs a cylinder with itself.
+    cylinders = (
+        Cylinder(vertex_level, base, word)
+        for base in range(vertex_level)
+        for word in product(range(1, k + 1), repeat=depth)
+    )
+    return (ArrowClass(source, source, 0, 0) for source in cylinders)
+
+
+def _blocks(
+    k: int, vertex_level: int, depth: int, max_displacement: int
+) -> Iterator[Iterator[ArrowClass]]:
+    """The classes of ``_arrows`` for max_displacement >= 1: one map per block and base."""
     # rows[base] holds the cylinders of every word at that base in product order:
     # letter j of word i is 1 + the j-th of the depth base-k digits of i, leading first.
-    words = tuple(product(alphabet, repeat=depth))
+    words = tuple(product(range(1, k + 1), repeat=depth))
     rows: list = [None] * vertex_level
 
     def row(base: int) -> list:
@@ -196,19 +217,32 @@ def _arrows(
             block, run = k ** (depth - m), k ** (depth - m - overlap)
             below_overlap, overlaps = k ** (depth - n - overlap), k ** overlap
             below_blocked = k ** (depth - n)
-            heads = range(k ** m)
-            for base_src in range(vertex_level):
-                targets = row((base_src + n - m) % vertex_level)
-                for i, source in enumerate(row(base_src)):
-                    start = (i // below_overlap) % overlaps * run
-                    # for t >= 1 the last head letter differs from source.word[n-1]
-                    blocked = (i // below_blocked) % k if t else -1
-                    for head in heads:
-                        if head % k == blocked:
-                            continue
-                        first = head * block + start
-                        for target in targets[first : first + run]:
-                            yield ArrowClass(source, target, m, n)
+            # offsets[b] is head * block + tail over every allowed head and tail:
+            # for t >= 1 the last head letter differs from source.word[n-1] = b + 1.
+            offsets = [
+                [
+                    head * block + tail
+                    for head in range(k ** m)
+                    if not t or head % k != b
+                    for tail in range(run)
+                ]
+                for b in range(k)
+            ]
+            # The target index of each class in the block, the same at every base;
+            # each source has len(offsets[0]) classes, one after another.
+            targets: list = []
+            for i in range(len(words)):
+                start = (i // below_overlap) % overlaps * run
+                targets += [start + offset for offset in offsets[(i // below_blocked) % k]]
+            per_source = len(offsets[0])
+            for base in range(vertex_level):
+                yield map(
+                    ArrowClass,
+                    chain.from_iterable(map(repeat, row(base), repeat(per_source))),
+                    map(row((base + n - m) % vertex_level).__getitem__, targets),
+                    repeat(m),
+                    repeat(n),
+                )
 
 
 def compose_arrows(first: ArrowClass, second: ArrowClass) -> ArrowClass:

@@ -78,19 +78,63 @@ class TestArrowClass:
     @given(st.data())
     def test_constructs_exactly_when_the_shift_oracle_matches(self, data):
         level = data.draw(st.integers(1, 6))
+        target_level = data.draw(st.one_of(st.just(level), st.integers(1, 6)))
         k = data.draw(st.integers(1, 3))
         words = st.lists(st.integers(1, k), max_size=5).map(tuple)
         base_s, base_t = data.draw(st.integers(-12, 12)), data.draw(st.integers(-12, 12))
         word_s, word_t = data.draw(words), data.draw(words)
-        m = data.draw(st.integers(0, len(word_t)))
-        n = data.draw(st.integers(0, len(word_s)))
-        source, target = Cylinder(level, base_s, word_s), Cylinder(level, base_t, word_t)
-        if _shift_match(level, base_t, word_t, m, base_s, word_s, n):
+        m = data.draw(st.integers(-2, len(word_t)))
+        n = data.draw(st.integers(-2, len(word_s)))
+        source, target = Cylinder(level, base_s, word_s), Cylinder(target_level, base_t, word_t)
+        if (
+            min(m, n) >= 0
+            and target_level == level
+            and _shift_match(level, base_t, word_t, m, base_s, word_s, n)
+        ):
             a = ArrowClass(source=source, target=target, m=m, n=n)
             assert (a.source, a.target, a.m, a.n) == (source, target, m, n)
         else:
             with pytest.raises(ValueError):
                 ArrowClass(source=source, target=target, m=m, n=n)
+
+    # The constructor's checks, in order.  Each case fails its own check and
+    # every later one it can (each shift exceeding the depth leaves an empty
+    # overlap), so a dropped, merged or reordered check changes the
+    # exception's class or message; the base case's words match, so without
+    # its check it would construct.
+    @pytest.mark.parametrize(
+        "source,target,m,n,error,message",
+        [
+            (
+                Cylinder(2, 0, (1,)), Cylinder(3, 1, (2,)), -1, 3,
+                ValueError, "shift exponents must be non-negative",
+            ),
+            (
+                Cylinder(2, 0, (1,)), Cylinder(3, 1, (2,)), 0, 3,
+                ValueError, "source and target live at different vertex levels",
+            ),
+            (
+                Cylinder(3, 0, (1,)), Cylinder(3, 1, (2,)), 0, 3,
+                ResolutionExhaustedError, "shift exponents exceed the word depth",
+            ),
+            (
+                Cylinder(3, 0, (1, 2)), Cylinder(3, 1, (1, 2)), 0, 0,
+                ValueError, "cylinders do not match under the declared shifts",
+            ),
+            (
+                Cylinder(3, 0, (1, 2)), Cylinder(3, 0, (2, 2)), 0, 0,
+                ValueError, "cylinders do not match under the declared shifts",
+            ),
+        ],
+        ids=["negative exponent", "vertex levels", "word depth", "base", "overlap words"],
+    )
+    def test_each_rejection_has_its_class_and_message(
+        self, source, target, m, n, error, message
+    ):
+        with pytest.raises(ValueError) as raised:
+            ArrowClass(source=source, target=target, m=m, n=n)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
 
 
 class TestEnumerate:
@@ -125,6 +169,7 @@ class TestEnumerate:
             (3, 3, 3, 2),
             (4, 2, 2, 2),
             (2, 5, 4, 2),
+            (3, 3, 4, 2),
         ],
     )
     def test_matches_pair_scan_oracle(self, k, level, depth, disp):
@@ -150,6 +195,31 @@ class TestEnumerate:
         unshifted = [a for a in enumerate_arrows(*args) if a.m == a.n == 0]
         assert len(unshifted) == args[1] * args[0] ** args[2]
         assert all(a.source is a.target for a in unshifted)
+
+    @pytest.mark.parametrize(
+        "k,level,depth,disp", [(2, 3, 3, 1), (3, 2, 3, 2), (2, 4, 3, 0), (1, 2, 3, 1)]
+    )
+    def test_each_class_and_cylinder_passes_through_its_constructor(
+        self, monkeypatch, k, level, depth, disp
+    ):
+        # Counting wrappers in the class bodies, as a tracer installs them: every
+        # object is built by one call of its class's __init__.
+        built = {ArrowClass: 0, Cylinder: 0}
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                built[cls] += 1
+                init(self, *args, **kwargs)
+
+            return counted
+
+        for cls in built:
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        count = sum(1 for _ in enumerate_arrows(k, level, depth, disp))
+        assert count == built[ArrowClass] == (2 * disp + 1) * level * k ** (depth + disp)
+        assert built[Cylinder] == level * k ** depth
 
     def test_zero_displacement_streams_in_constant_memory(self):
         # 2**14 classes, none held: the peak stays that of a few live objects
