@@ -4,7 +4,8 @@ Elements of Z_m, multiplication maps between cyclic groups, the quotient
 of a localized group by an integer, and the tensor of Z_m with a localized
 group.  Groups are carried by their invariants (a modulus, or a
 denominator constraint), never by element sets: everything in scope is
-cyclic or a localization of Z.
+cyclic or a localization of Z.  A tensor reduction stores its two
+moduli; its generator image and surjection are formed when read.
 """
 
 from __future__ import annotations
@@ -128,20 +129,25 @@ class TensorReduction(_Value):
 
     The result is cyclic of order ``modulus`` (the part of m at primes where
     the constraint has finite multiplicity; at infinite-multiplicity primes
-    the localized group is divisible and that part of m collapses).
-    ``generator_image`` is the image of 1 (x) [unit class].
+    the localized group is divisible and that part of m collapses).  The
+    generator image of 1 (x) [unit class] and the surjection from Z_m are
+    formed when read.
     """
 
-    __slots__ = ("source_modulus", "modulus", "generator_image", "surjection")
+    __slots__ = ("source_modulus", "modulus")
 
-    def __init__(
-        self,
-        source_modulus: int,
-        modulus: int,
-        generator_image: CyclicElement,
-        surjection: CyclicHom,
-    ):
-        self._init(source_modulus, modulus, generator_image, surjection)
+    def __init__(self, source_modulus: int, modulus: int):
+        if not 1 <= modulus <= source_modulus or source_modulus % modulus != 0:
+            raise ValueError(f"Z_{source_modulus} has no quotient Z_{modulus}")
+        self._init(source_modulus, modulus)
+
+    @property
+    def generator_image(self) -> CyclicElement:
+        return CyclicElement(self.modulus, 1)
+
+    @property
+    def surjection(self) -> CyclicHom:
+        return CyclicHom(self.source_modulus, self.modulus, 1)
 
 
 def tensor_cyclic_with_localized(m: int, s: SupernaturalNumber) -> TensorReduction:
@@ -153,10 +159,4 @@ def tensor_cyclic_with_localized(m: int, s: SupernaturalNumber) -> TensorReducti
     """
     if m < 1:
         raise ValueError("m must be positive")
-    bar = s.finite_part(m)
-    return TensorReduction(
-        source_modulus=m,
-        modulus=bar,
-        generator_image=CyclicElement(bar, 1),
-        surjection=CyclicHom(m, bar, 1),
-    )
+    return TensorReduction(m, s.finite_part(m))

@@ -260,7 +260,7 @@ class _Value:
     and only between instances of the same class; the repr is
     ``Name(field=value, ...)``; assigning or deleting an attribute raises
     AttributeError.  Copies and pickles pass the fields to ``__init__`` in
-    order.
+    order.  A value that follows from the fields is a property, not a field.
     """
 
     __slots__ = ()

@@ -525,12 +525,13 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     """Join ``--values`` and the word after it into ``--values=<list>``.
 
     argparse reads a separate word that starts with a minus sign, such as
-    ``-1/2,1``, as an option rather than as the value of ``--values``.
+    ``-1/2,1``, as an option rather than as the value of ``--values``.  It
+    also takes ``--v`` and every longer prefix for ``--values``.
     """
     words = iter(argv)
     joined = []
     for word in words:
-        value = next(words, None) if word == "--values" else None
+        value = next(words, None) if len(word) > 2 and "--values".startswith(word) else None
         joined.append(word if value is None else f"--values={value}")
     return joined
 

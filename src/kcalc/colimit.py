@@ -5,7 +5,9 @@ spectrum, prime-power order witnesses, non-isomorphism tests for limits
 built from geometric level rules, and the pipeline identifying the
 UHF-tensored odometer tower with the K-theory of a Cuntz algebra, which
 forms no level and no k**n: every level is 1 mod k-1, so one congruence
-mod k-1 certifies every stage, and K_1 = 0 holds at every level.
+mod k-1 certifies every stage, and K_1 = 0 holds at every level.  The
+identification stores only that congruence, and a verdict is distinct
+exactly when it holds a witness.
 """
 
 from __future__ import annotations
@@ -215,15 +217,18 @@ def prime_power_order_witness(
 class DistinguishVerdict(_Value):
     """Outcome of comparing two geometric level rules at a fixed base k."""
 
-    __slots__ = ("distinct", "witness", "first_stage_with_order")
+    __slots__ = ("witness", "first_stage_with_order")
 
     def __init__(
         self,
-        distinct: bool,
         witness: PrimePowerWitness | None = None,
         first_stage_with_order: int | None = None,
     ):
-        self._init(distinct, witness, first_stage_with_order)
+        self._init(witness, first_stage_with_order)
+
+    @property
+    def distinct(self) -> bool:
+        return self.witness is not None
 
     @property
     def prime(self) -> int | None:
@@ -261,18 +266,17 @@ def distinguish_colimits(
         if rule_b.ratio % p == 0:
             continue
         reach_b = valuation(rule_b.first, p)
-        reach_a = None if rule_a.ratio % p == 0 else valuation(rule_a.first, p)
-        if reach_a is not None and reach_a <= reach_b:
+        reach_a = valuation(rule_a.first, p)
+        if rule_a.ratio % p != 0 and reach_a <= reach_b:
             continue
         s = reach_b + 1
         witness = prime_power_order_witness(k, p, s, budget_bits=budget_bits)
-        vc, vr = valuation(rule_a.first, p), valuation(rule_a.ratio, p)
-        if vc >= s:
+        if reach_a >= s:
             stage = 1
         else:
-            stage = 1 + -(-(s - vc) // vr)
-        return DistinguishVerdict(distinct=True, witness=witness, first_stage_with_order=stage)
-    return DistinguishVerdict(distinct=False)
+            stage = 1 + -(-(s - reach_a) // valuation(rule_a.ratio, p))
+        return DistinguishVerdict(witness, stage)
+    return DistinguishVerdict()
 
 
 class StageCongruenceError(Exception):
@@ -280,19 +284,20 @@ class StageCongruenceError(Exception):
 
 
 class IdentificationStage(_Value):
-    """One certified stage of the UHF-tensored tower; level, modulus and cofactor are formed when read."""
+    """One certified stage of the UHF-tensored tower; every value but the fields is formed when read."""
 
-    __slots__ = ("k", "stage", "tensored_modulus", "cofactor_congruences", "unit_image")
+    __slots__ = ("k", "stage", "cofactor_congruences")
 
-    def __init__(
-        self,
-        k: int,
-        stage: int,
-        tensored_modulus: int,
-        cofactor_congruences: tuple[tuple[int, int], ...],
-        unit_image: int,
-    ):
-        self._init(k, stage, tensored_modulus, cofactor_congruences, unit_image)
+    def __init__(self, k: int, stage: int, cofactor_congruences: tuple[tuple[int, int], ...]):
+        self._init(k, stage, cofactor_congruences)
+
+    @property
+    def tensored_modulus(self) -> int:
+        return self.k - 1  # no prime of k - 1 divides the cofactor, so the tensor keeps all of k - 1
+
+    @property
+    def unit_image(self) -> int:
+        return 1 % (self.k - 1)  # the unit class, the cofactor, is 1 mod k - 1 by the congruence
 
     @property
     def level(self) -> int:
@@ -315,10 +320,11 @@ class CuntzIdentification(_Value):
     of order k - 1; the induced connecting maps are congruent to 1 modulo
     k - 1 (hence isomorphisms); and the unit thread lands on the generator 1.
     The concluding isomorphism of algebras is cited, not computed.  Only the
-    congruence that certifies every stage is stored; the rest is formed when read.
+    congruence that certifies every stage is stored; the rest, the
+    supernatural type of the localized group included, is formed when read.
     """
 
-    __slots__ = ("k", "depth", "supernatural", "cofactor_congruences")
+    __slots__ = ("k", "depth", "cofactor_congruences")
 
     citations = (
         "stage groups and connecting maps of all stages from one congruence,"
@@ -328,14 +334,13 @@ class CuntzIdentification(_Value):
     )
     k1_trivial = True  # pivot 1 - k**-n: k**n - 1 = -1 (mod k) at every level n >= 1, never 0
 
-    def __init__(
-        self,
-        k: int,
-        depth: int,
-        supernatural: SupernaturalNumber,
-        cofactor_congruences: tuple[tuple[int, int], ...],
-    ):
-        self._init(k, depth, supernatural, cofactor_congruences)
+    def __init__(self, k: int, depth: int, cofactor_congruences: tuple[tuple[int, int], ...]):
+        self._init(k, depth, cofactor_congruences)
+
+    @property
+    def supernatural(self) -> SupernaturalNumber:
+        """complement(k - 1), the localized group's type; the congruences name the primes of k - 1."""
+        return SupernaturalNumber([(p, 0) for p, _ in self.cofactor_congruences], None)
 
     @property
     def k0_order(self) -> int:
@@ -351,8 +356,8 @@ class CuntzIdentification(_Value):
 
     @property
     def stages(self) -> tuple[IdentificationStage, ...]:
-        k, depth, shared, unit = self.k, self.depth, self.cofactor_congruences, self.unit_class
-        return tuple(IdentificationStage(k, i, k - 1, shared, unit) for i in range(1, depth + 1))
+        k, shared = self.k, self.cofactor_congruences
+        return tuple(IdentificationStage(k, i, shared) for i in range(1, self.depth + 1))
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -389,6 +394,4 @@ def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     cofactor = (pow(k, one, square) - 1) % square // target
     if cofactor != one:
         raise StageCongruenceError(f"cofactor is {cofactor}, not 1, mod {target}")
-    primes = prime_factors(target)
-    congruences = tuple((p, cofactor % p) for p in primes)
-    return CuntzIdentification(k, depth, SupernaturalNumber([(p, 0) for p in primes], None), congruences)
+    return CuntzIdentification(k, depth, tuple((p, cofactor % p) for p in prime_factors(target)))

@@ -15,7 +15,7 @@ one Horner pass over the numerators of f, lifted to their common power of
 k, then one inverse of that power modulo k**n - 1.  The series criterion
 takes g(0) in closed form by the same kind of Horner pass and every later
 value by the recurrence g(x) = f(x) + g(x - 1) / k.  The two share no
-result: the series never calls psi.
+result: the series never calls psi, and its record stores only the preimage.
 """
 
 from __future__ import annotations
@@ -182,10 +182,14 @@ def membership_psi(f: LocallyConstantFn) -> bool:
 class SeriesMembership(_Value):
     """Whether f lies in the image of id - (1/k)T, with a preimage when it does."""
 
-    __slots__ = ("member", "witness")
+    __slots__ = ("witness",)
 
-    def __init__(self, member: bool, witness: LocallyConstantFn | None):
-        self._init(member, witness)
+    def __init__(self, witness: LocallyConstantFn | None):
+        self._init(witness)
+
+    @property
+    def member(self) -> bool:
+        return self.witness is not None
 
 
 def membership_series(f: LocallyConstantFn) -> SeriesMembership:
@@ -213,12 +217,12 @@ def membership_series(f: LocallyConstantFn) -> SeriesMembership:
     for x in range(1, n):
         g_values.append(Fraction(numerators[x], unit) + g_values[-1] / k)
     if not all(KPowerRational.fraction_in_ring(v, k) for v in g_values):
-        return SeriesMembership(False, None)
+        return SeriesMembership(None)
     g = LocallyConstantFn.from_fractions(k, g_values)
     recovered = g - pv_endomorphism(g)
     if recovered != f:
         raise RuntimeError("series witness failed to reproduce the input exactly")
-    return SeriesMembership(True, g)
+    return SeriesMembership(g)
 
 
 def kernel_certificate(k: int, n: int) -> Fraction:
@@ -279,25 +283,18 @@ class CorrespondenceIdentityError(Exception):
 
 
 class CorrespondenceReport(_Value):
-    """Counts of the Hilbert module identities checked at one vertex level."""
+    """Counts of the Hilbert module identities checked at one vertex level.
 
-    __slots__ = (
-        "k", "vertex_level", "samples",
-        "positivity_checks", "module_identity_checks", "rank_one_checks",
-    )
+    Each identity is checked once per sample, and a failure raises, so each
+    count is ``samples``.
+    """
 
-    def __init__(
-        self,
-        k: int,
-        vertex_level: int,
-        samples: int,
-        positivity_checks: int,
-        module_identity_checks: int,
-        rank_one_checks: int,
-    ):
-        self._init(
-            k, vertex_level, samples, positivity_checks, module_identity_checks, rank_one_checks
-        )
+    __slots__ = ("k", "vertex_level", "samples")
+
+    def __init__(self, k: int, vertex_level: int, samples: int):
+        self._init(k, vertex_level, samples)
+
+    positivity_checks = module_identity_checks = rank_one_checks = property(lambda self: self.samples)
 
 
 def _inner(k: int, n: int, xi, eta):
@@ -359,20 +356,17 @@ def verify_correspondence_identities(
         for i in range(k)
     ]
 
-    positivity = module_identity = rank_one = 0
     for _ in range(sample_count):
         xi, eta, zeta = rand_edge_fn(), rand_edge_fn(), rand_edge_fn()
         f, g = rand_vertex_fn(), rand_vertex_fn()
 
         if any(v < 0 for v in _inner(k, n, xi, xi)):
             raise CorrespondenceIdentityError("<xi, xi> has a negative value")
-        positivity += 1
 
         lhs = _inner(k, n, xi, _right_action(k, n, eta, g))
         rhs = tuple(v * g[x] for x, v in enumerate(_inner(k, n, xi, eta)))
         if lhs != rhs:
             raise CorrespondenceIdentityError("<xi, eta.g> != <xi, eta> g")
-        module_identity += 1
 
         rotated = tuple(f[(x + 1) % n] for x in range(n))
         direct = _left_action(k, n, f, zeta)
@@ -391,7 +385,6 @@ def verify_correspondence_identities(
             raise CorrespondenceIdentityError(
                 "rank-one decomposition disagrees with the left action"
             )
-        rank_one += 1
 
     ones = tuple(Fraction(1) for _ in range(n))
     for i in range(k):
@@ -412,11 +405,4 @@ def verify_correspondence_identities(
     if _left_action(k, n, ones, sample) != sample:
         raise CorrespondenceIdentityError("constant function 1 does not act as identity")
 
-    return CorrespondenceReport(
-        k=k,
-        vertex_level=n,
-        samples=sample_count,
-        positivity_checks=positivity,
-        module_identity_checks=module_identity,
-        rank_one_checks=rank_one,
-    )
+    return CorrespondenceReport(k, n, sample_count)

@@ -246,12 +246,12 @@ def double_sum_membership_series(f):
         s = sum(Fraction(values[(x - j) % n], k ** j) for j in range(n))
         g_values.append(scale * s)
     if not all(KPowerRational.fraction_in_ring(v, k) for v in g_values):
-        return SeriesMembership(False, None)
+        return SeriesMembership(None)
     g = LocallyConstantFn.from_fractions(k, g_values)
     recovered = g - pv_endomorphism(g)
     if recovered != f:
         raise RuntimeError("series witness failed to reproduce the input exactly")
-    return SeriesMembership(True, g)
+    return SeriesMembership(g)
 
 
 def tensor_route_identification(k: int, depth: int) -> dict:

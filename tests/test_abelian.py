@@ -9,6 +9,7 @@ import pytest
 from kcalc.abelian import (
     CyclicElement,
     CyclicHom,
+    TensorReduction,
     quotient_localized_by_m,
     tensor_cyclic_with_localized,
 )
@@ -132,6 +133,11 @@ class TestTensor:
         # a prime with finite nonzero multiplicity does not divide the group
         s = SupernaturalNumber.from_powers({2: 3})
         assert tensor_cyclic_with_localized(8, s).modulus == 8
+
+    def test_record_refuses_a_modulus_that_is_no_quotient(self):
+        for source, modulus in ((6, 4), (6, 0), (6, 12), (0, 1)):
+            with pytest.raises(ValueError, match="has no quotient"):
+                TensorReduction(source, modulus)
 
     def test_surjection_tracks_unit(self):
         t = tensor_cyclic_with_localized(12, S2)

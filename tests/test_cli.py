@@ -193,11 +193,15 @@ class TestMembershipCommand:
 
     def test_leading_minus_value_as_separate_word(self, capsys):
         joined = run_json(capsys, "membership", "--k", "2", "--n", "2", "--values=-1/2,1")
-        separate = run_json(capsys, "membership", "--k", "2", "--n", "2", "--values", "-1/2,1")
         joined.pop("timing_ms")
-        separate.pop("timing_ms")
-        assert separate == joined
-        assert separate["results"]["member_by_psi"]
+        assert joined["results"]["member_by_psi"]
+        # argparse also takes every prefix of --values from --v on for the option
+        for option_ in ("--values", "--value", "--valu", "--val", "--va", "--v"):
+            separate = run_json(capsys, "membership", "--k", "2", "--n", "2", option_, "-1/2,1")
+            separate.pop("timing_ms")
+            assert separate == joined, option_
+        for other in ("--", "-v", "--vs", "--values=1", "--valuesx"):
+            assert cli._attach_values([other, "-1"]) == [other, "-1"]
 
     def test_level_4000_answers_in_linear_time(self, capsys):
         # a quadratic series takes minutes at this level
@@ -817,7 +821,7 @@ def parse_outcome(parser, words):
 # some subparsers or of none, a second subcommand name, and junk
 AROUND = st.lists(
     st.sampled_from(
-        ["-h", "--", "--json", "-x", "--k", "2", "--values", "-1/2,1", "junk", "", *cli._SUBCOMMANDS]
+        ["-h", "--", "--json", "-x", "--k", "2", "--values", "--val", "-1/2,1", "junk", "", *cli._SUBCOMMANDS]
     ),
     max_size=3,
 )

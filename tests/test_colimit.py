@@ -291,6 +291,16 @@ class TestDistinguish:
         assert w.q not in spec_b or spec_b[w.q].prefix_max < w.r
 
 
+# every value that the tensor route computes, fields and properties alike
+IDENTIFICATION_VALUES = (
+    "k", "depth", "supernatural", "levels", "moduli",
+    "induced_multipliers", "k0_order", "unit_class", "k1_trivial",
+)
+STAGE_VALUES = (
+    "k", "stage", "level", "modulus", "tensored_modulus", "cofactor", "cofactor_congruences", "unit_image",
+)
+
+
 class TestCuntzIdentification:
     def test_base_two_collapses_to_trivial_group(self):
         outcome = identify_cuntz_k_theory(2, 4)
@@ -353,12 +363,8 @@ class TestCuntzIdentification:
             for depth in range(2, 5):
                 outcome = identify_cuntz_k_theory(k, depth)
                 expected = tensor_route_identification(k, depth)
-                got = {name: getattr(outcome, name) for name in expected}
-                got["stages"] = [
-                    {name: getattr(s, name) for name in type(s).__slots__}
-                    | {"level": s.level, "modulus": s.modulus, "cofactor": s.cofactor}
-                    for s in outcome.stages
-                ]
+                got = {name: getattr(outcome, name) for name in IDENTIFICATION_VALUES}
+                got["stages"] = [{name: getattr(s, name) for name in STAGE_VALUES} for s in outcome.stages]
                 assert got == expected, (k, depth)
 
     def test_stage_residue_reduces_the_level_mod_k_minus_one(self):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from kcalc.odometer import verify_correspondence_identities
+from kcalc import odometer
+from kcalc.odometer import CorrespondenceIdentityError, CorrespondenceReport, verify_correspondence_identities
 from kcalc.odometer import _inner, _left_action, _right_action
 
 
@@ -12,6 +13,7 @@ from kcalc.odometer import _inner, _left_action, _right_action
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_identities_hold_on_random_samples(k, n):
     report = verify_correspondence_identities(k, n, 100, seed=k * 10 + n)
+    assert report == CorrespondenceReport(k, n, 100)
     assert report.samples == 100
     assert report.positivity_checks == 100
     assert report.module_identity_checks == 100
@@ -58,3 +60,25 @@ def test_bad_arguments_rejected():
         verify_correspondence_identities(2, 0, 5)
     with pytest.raises(ValueError):
         verify_correspondence_identities(2, 3, -5)
+
+
+# Each identity check can fail: break the helper it uses and the check raises,
+# so a report's count of that check, equal to its samples, counts passed checks.
+def test_broken_positivity_raises(monkeypatch):
+    monkeypatch.setattr(odometer, "_inner", lambda k, n, xi, eta: tuple(-1 - v for v in _inner(k, n, xi, eta)))
+    with pytest.raises(CorrespondenceIdentityError, match="negative"):
+        verify_correspondence_identities(2, 3, 1)
+
+
+def test_broken_module_identity_raises(monkeypatch):
+    monkeypatch.setattr(
+        odometer, "_right_action", lambda k, n, xi, g: _right_action(k, n, xi, tuple(2 * v for v in g))
+    )
+    with pytest.raises(CorrespondenceIdentityError, match=r"<xi, eta\.g>"):
+        verify_correspondence_identities(2, 3, 1)
+
+
+def test_broken_rank_one_decomposition_raises(monkeypatch):
+    monkeypatch.setattr(odometer, "_left_action", lambda k, n, f, xi: _left_action(k, n, f[::-1], xi))
+    with pytest.raises(CorrespondenceIdentityError, match="rank-one"):
+        verify_correspondence_identities(2, 3, 1)

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import pickle
 import pkgutil
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,7 +81,6 @@ COLIMIT = (
     f" CyclicElement(modulus=15, residue=5)), level_rule={RULE})"
 )
 WITNESS = "PrimePowerWitness(k=2, p=3, s=1, q=7, r=1)"
-STAGE = "IdentificationStage(k=3, stage={}, tensored_modulus=2, cofactor_congruences=((2, 1),), unit_image=1)"
 FN = "LocallyConstantFn(k=2, values=(KPowerRational(1, base=2), KPowerRational(1/2^1)))"
 ARROW = (
     "ArrowClass(source=Cylinder(level=2, base=0, word=(1, 2)),"
@@ -117,14 +117,7 @@ def _value_cases():
             "LocalizedQuotient(modulus=3, constraint=SupernaturalNumber(2^inf))",
             {},
         ),
-        (
-            TensorReduction,
-            (6, 2, CyclicElement(2, 1), CyclicHom(6, 2, 1)),
-            ("source_modulus", "modulus", "generator_image", "surjection"),
-            "TensorReduction(source_modulus=6, modulus=2, generator_image=CyclicElement(modulus=2, residue=1),"
-            " surjection=CyclicHom(source_modulus=6, target_modulus=2, multiplier=1))",
-            {},
-        ),
+        (TensorReduction, (6, 2), ("source_modulus", "modulus"), "TensorReduction(source_modulus=6, modulus=2)", {}),
         (Geometric, (2, 3), ("first", "ratio"), "Geometric(first=2, ratio=3)", {}),
         (
             CyclicColimit,
@@ -137,24 +130,23 @@ def _value_cases():
         (PrimePowerWitness, (2, 3, 1, 7, 1), ("k", "p", "s", "q", "r"), WITNESS, {}),
         (
             DistinguishVerdict,
-            (True, witness, 2),
-            ("distinct", "witness", "first_stage_with_order"),
-            f"DistinguishVerdict(distinct=True, witness={WITNESS}, first_stage_with_order=2)",
-            {"prime": None, "exponent": None, "witness": None, "first_stage_with_order": None},
+            (witness, 2),
+            ("witness", "first_stage_with_order"),
+            f"DistinguishVerdict(witness={WITNESS}, first_stage_with_order=2)",
+            {"distinct": False, "prime": None, "exponent": None, "witness": None, "first_stage_with_order": None},
         ),
         (
             IdentificationStage,
-            (3, 1, 2, ((2, 1),), 1),
-            ("k", "stage", "tensored_modulus", "cofactor_congruences", "unit_image"),
-            STAGE.format(1),
+            (3, 1, ((2, 1),)),
+            ("k", "stage", "cofactor_congruences"),
+            "IdentificationStage(k=3, stage=1, cofactor_congruences=((2, 1),))",
             {},
         ),
         (
             CuntzIdentification,
-            (3, 2, SupernaturalNumber.coprime_complement(2), ((2, 1),)),
-            ("k", "depth", "supernatural", "cofactor_congruences"),
-            "CuntzIdentification(k=3, depth=2, supernatural=SupernaturalNumber(complement(2)),"
-            " cofactor_congruences=((2, 1),))",
+            (3, 2, ((2, 1),)),
+            ("k", "depth", "cofactor_congruences"),
+            "CuntzIdentification(k=3, depth=2, cofactor_congruences=((2, 1),))",
             {},
         ),
         (
@@ -165,7 +157,7 @@ def _value_cases():
             {"rule": None},
         ),
         (LocallyConstantFn, (2, [KPowerRational(2, 1), KPowerRational(2, 1, 1)]), ("k", "values"), FN, {}),
-        (SeriesMembership, (True, fn), ("member", "witness"), f"SeriesMembership(member=True, witness={FN})", {}),
+        (SeriesMembership, (fn,), ("witness",), f"SeriesMembership(witness={FN})", {}),
         (
             OdometerKTheory,
             (colimit, (Fraction(3, 4),)),
@@ -175,10 +167,9 @@ def _value_cases():
         ),
         (
             CorrespondenceReport,
-            (2, 3, 4, 5, 6, 7),
-            ("k", "vertex_level", "samples", "positivity_checks", "module_identity_checks", "rank_one_checks"),
-            "CorrespondenceReport(k=2, vertex_level=3, samples=4, positivity_checks=5,"
-            " module_identity_checks=6, rank_one_checks=7)",
+            (2, 3, 4),
+            ("k", "vertex_level", "samples"),
+            "CorrespondenceReport(k=2, vertex_level=3, samples=4)",
             {},
         ),
         (Cylinder, (3, 4, [1, 2]), ("level", "base", "word"), "Cylinder(level=3, base=1, word=(1, 2))", {}),
@@ -235,6 +226,44 @@ def test_value_type_init_parameters_are_its_slots(cls):
     # __reduce__, _init and the repr all pass or read the fields in __slots__ order
     params = list(inspect.signature(cls.__init__).parameters)[1:]
     assert params == list(cls.__slots__)
+
+
+# A value of each type with derived values, and what they read
+DERIVED_CASES = [
+    (DistinguishVerdict(PrimePowerWitness(2, 3, 1, 7, 1), 2), {"distinct": True}),
+    (DistinguishVerdict(), {"distinct": False}),
+    (SeriesMembership(LocallyConstantFn.zero(2, 3)), {"member": True}),
+    (SeriesMembership(None), {"member": False}),
+    (IdentificationStage(7, 2, ((2, 1), (3, 1))), {"tensored_modulus": 6, "unit_image": 1}),
+    (IdentificationStage(2, 1, ()), {"tensored_modulus": 1, "unit_image": 0}),
+    (CuntzIdentification(7, 2, ((2, 1), (3, 1))), {"supernatural": SupernaturalNumber.coprime_complement(6)}),
+    (CuntzIdentification(2, 2, ()), {"supernatural": SupernaturalNumber.coprime_complement(1)}),
+    (TensorReduction(12, 3), {"generator_image": CyclicElement(3, 1), "surjection": CyclicHom(12, 3, 1)}),
+    (CorrespondenceReport(2, 3, 4), {"positivity_checks": 4, "module_identity_checks": 4, "rank_one_checks": 4}),
+]
+
+
+@pytest.mark.parametrize("value, derived", DERIVED_CASES, ids=[type(value).__name__ for value, _ in DERIVED_CASES])
+def test_derived_values_are_read_only_properties_not_fields(value, derived):
+    for name, expected in derived.items():
+        assert name not in type(value).__slots__
+        assert isinstance(getattr(type(value), name), property), name
+        assert getattr(value, name) == expected, name
+        with pytest.raises(AttributeError):
+            setattr(value, name, expected)
+
+
+# A signature quoted in the README, such as `AfProduct(count, block_size)`
+SIGNATURE = re.compile(r"`([A-Z]\w*)\(([^`()]*)\)`")
+
+
+def test_readme_signatures_list_the_slots_in_order():
+    value_types = {cls.__name__: cls for cls in VALUE_TYPES}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quoted = [(name, args) for name, args in SIGNATURE.findall(readme) if name in value_types]
+    assert {"CuntzIdentification", "SupernaturalNumber", "AfProduct"} <= {name for name, _ in quoted}
+    for name, args in quoted:
+        assert [a.strip() for a in args.split(",")] == list(value_types[name].__slots__), name
 
 
 # KPowerRational keeps its own equality and hash: values in different bases
