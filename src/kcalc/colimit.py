@@ -1,8 +1,8 @@
 """Inductive limits of cyclic groups and their isomorphism invariants.
 
-Colimit prefixes with their connecting maps and unit thread, the order
-spectrum, prime-power order witnesses, non-isomorphism tests for limits
-built from geometric level rules, and the pipeline identifying the
+Colimit prefixes (connecting maps and unit thread read off the moduli),
+the order spectrum, prime-power order witnesses, non-isomorphism tests for
+limits built from geometric level rules, and the pipeline identifying the
 UHF-tensored odometer tower with the K-theory of a Cuntz algebra, which
 forms no level and no k**n: every level is 1 mod k-1, so one congruence
 mod k-1 certifies every stage, and K_1 = 0 holds at every level.  The
@@ -63,44 +63,41 @@ class Geometric(_Value):
 
 
 class CyclicColimit(_Value):
-    """A finite prefix of an inductive sequence of cyclic groups.
+    """A finite prefix of an inductive sequence of cyclic groups Z_{m_i}.
 
-    Connecting maps must be injective, so each modulus divides the next; a
-    unit thread, when present, must be compatible (each map carries the unit
-    of one stage to the next).  ``level_rule`` declares the prefix to be the
-    tower Z_{k**n_i - 1} of an odometer whose levels n_i follow the rule; it
-    lets order-spectrum statements be certified over all stages, not just
-    the stored prefix.
+    Each modulus divides the next, so multiplication by m_{i+1} / m_i is a
+    well-defined injective connecting map; ``unit`` is the unit class in
+    Z_{m_1}, or None, and the maps carry it along the unit thread.  Both are
+    read off the moduli.  ``level_rule`` declares the prefix to be the tower
+    Z_{k**n_i - 1} of an odometer whose levels n_i follow the rule; it lets
+    order-spectrum statements be certified over all stages, not the prefix.
     """
 
-    __slots__ = ("moduli", "maps", "unit_thread", "level_rule")
+    __slots__ = ("moduli", "unit", "level_rule")
 
     def __init__(
         self,
         moduli: tuple[int, ...],
-        maps: tuple[CyclicHom, ...],
-        unit_thread: tuple[CyclicElement, ...] | None = None,
+        unit: int | None = None,
         level_rule: Geometric | None = None,
     ):
         if not moduli:
             raise ValueError("a colimit prefix needs at least one stage")
-        if len(maps) != len(moduli) - 1:
-            raise ValueError("need exactly one connecting map per adjacent pair")
-        for i, h in enumerate(maps):
-            if h.source_modulus != moduli[i] or h.target_modulus != moduli[i + 1]:
-                raise ValueError(f"connecting map {i + 1} does not match the moduli")
-            if not h.is_injective():
-                raise ValueError(f"connecting map {i + 1} is not injective")
-        if unit_thread is not None:
-            if len(unit_thread) != len(moduli):
-                raise ValueError("unit thread must have one entry per stage")
-            for i, u in enumerate(unit_thread):
-                if u.modulus != moduli[i]:
-                    raise ValueError(f"unit at stage {i + 1} has the wrong modulus")
-            for i, h in enumerate(maps):
-                if h(unit_thread[i]) != unit_thread[i + 1]:
-                    raise ValueError(f"unit thread breaks at stage {i + 1}")
-        self._init(moduli, maps, unit_thread, level_rule)
+        if min(moduli) < 1 or any(b % a for a, b in zip(moduli, moduli[1:])):
+            raise ValueError(f"moduli {moduli} are not positive, each dividing the next")
+        if unit is not None:
+            unit %= moduli[0]
+        self._init(moduli, unit, level_rule)
+
+    @property
+    def maps(self) -> tuple[CyclicHom, ...]:
+        return tuple(CyclicHom(a, b, b // a) for a, b in zip(self.moduli, self.moduli[1:]))
+
+    @property
+    def unit_thread(self) -> tuple[CyclicElement, ...] | None:
+        if self.unit is None:
+            return None
+        return tuple(CyclicElement(m, self.unit * (m // self.moduli[0])) for m in self.moduli)
 
 
 class OrderBound(_Value):
@@ -158,8 +155,11 @@ class PrimePowerWitness(_Value):
     __slots__ = ("k", "p", "s", "q", "r")
 
     def __init__(self, k: int, p: int, s: int, q: int, r: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        for prime in (p, q):
+            if not is_prime(prime):
+                raise ValueError(f"{prime} is not prime")
+        if r < 1:
+            raise ValueError("r must be >= 1")
         big, small = p ** s, p ** (s - 1)
         qr = q ** r
         if pow(k, big, qr) != 1:
@@ -215,7 +215,7 @@ def prime_power_order_witness(
 
 
 class DistinguishVerdict(_Value):
-    """Outcome of comparing two geometric level rules at a fixed base k."""
+    """Outcome of comparing two level rules at base k: a witness and its first stage, or neither."""
 
     __slots__ = ("witness", "first_stage_with_order")
 
@@ -224,6 +224,10 @@ class DistinguishVerdict(_Value):
         witness: PrimePowerWitness | None = None,
         first_stage_with_order: int | None = None,
     ):
+        if (witness is None) != (first_stage_with_order is None):
+            raise ValueError("a verdict holds both a witness and its first stage, or neither")
+        if first_stage_with_order is not None and first_stage_with_order < 1:
+            raise ValueError("stages are numbered from 1")
         self._init(witness, first_stage_with_order)
 
     @property

@@ -304,8 +304,6 @@ def certify_no_isotropy(spec: OdometerSpec, max_displacement: int) -> "IsotropyC
     (and any finer one) no d with 0 < |d| <= bound < level is a multiple of
     the level, so no isotropy arrow exists in the certified range.
     """
-    if max_displacement < 0:
-        raise ValueError("displacement bound must be non-negative")
     for stage, level in enumerate(spec.levels, start=1):
         if level > max_displacement:
             return IsotropyCertificate(
@@ -322,6 +320,12 @@ class IsotropyCertificate(_Value):
     __slots__ = ("stage", "level", "max_displacement")
 
     def __init__(self, stage: int, level: int, max_displacement: int):
+        if stage < 1:
+            raise ValueError("stages are numbered from 1")
+        if max_displacement < 0:
+            raise ValueError("displacement bound must be non-negative")
+        if level <= max_displacement:
+            raise ValueError(f"level {level} does not exceed the displacement bound {max_displacement}")
         self._init(stage, level, max_displacement)
 
 

@@ -5,10 +5,11 @@ the cyclic group Z_n; the odometer acts by translation.  This module holds
 the translation operator T, the endomorphism (1/k)T, the residue map psi
 that collapses a level to Z_{k**n - 1}, two independent membership criteria
 for the image of id - (1/k)T, the closed-form kernel pivot, and the assembly of
-the whole tower into an inductive limit of cyclic groups, whose connecting
-maps and unit classes are read off the stage moduli k**n - 1.  Finite-level
-checks of the Hilbert module identities behind the path-space picture live
-here too.
+the whole tower into an inductive limit of cyclic groups.  The tower record
+stores the stage moduli k**n - 1 once, with the first unit class; its
+connecting maps, unit thread and kernel pivots are read off them.
+Finite-level checks of the Hilbert module identities behind the path-space
+picture live here too.
 
 Both membership criteria cost O(n) big-integer steps at level n.  psi is
 one Horner pass over the numerators of f, lifted to their common power of
@@ -23,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .abelian import CyclicElement, CyclicHom
+from .abelian import CyclicElement
 from .arith import KPowerRational, _Value
 from .colimit import CyclicColimit, Geometric
 
@@ -243,39 +244,36 @@ def kernel_is_trivial(k: int, n: int) -> bool:
 
 
 class OdometerKTheory(_Value):
-    """K-theory of the odometer tower: the K_0 colimit and the kernel pivot of each level."""
+    """K-theory of the odometer tower: the K_0 colimit, with the kernel pivots read off its moduli."""
 
-    __slots__ = ("k0", "kernel_certificates")
+    __slots__ = ("k0",)
 
-    def __init__(self, k0: CyclicColimit, kernel_certificates: tuple[Fraction, ...]):
-        self._init(k0, kernel_certificates)
+    k1_trivial = True  # pivot 1 - k**-n: k**n - 1 = -1 (mod k) at every level n >= 1, never 0
+
+    def __init__(self, k0: CyclicColimit):
+        self._init(k0)
 
     @property
-    def k1_trivial(self) -> bool:
-        return all(pivot != 0 for pivot in self.kernel_certificates)
+    def kernel_certificates(self) -> tuple[Fraction, ...]:
+        """The pivot 1 - k**-n of each level, m / (m + 1) for its modulus m = k**n - 1."""
+        return tuple(Fraction(m, m + 1) for m in self.k0.moduli)
 
 
 def k0_odometer(spec: OdometerSpec) -> OdometerKTheory:
     """Assemble the K_0 colimit prefix of the tower, with unit thread.
 
     Stage i is Z_{m_i} with m_i = k**n_i - 1, the finite-stage K_0 group
-    (psi sends the indicator of residue 0 to its generator 1).  Each modulus
-    is formed once, and the rest is read off the moduli: n_i | n_{i+1}, so
-    m_i | m_{i+1}, and the connecting map multiplies by the geometric sum
-    m_{i+1} / m_i; the unit class m_i / (k - 1) = psi(1) is carried to the
-    next one.  K_1 vanishes at every level: the closed-form kernel pivot
-    1 - k**-n has numerator k**n - 1 = -1 (mod k), never 0.
+    (psi sends the indicator of residue 0 to its generator 1).  Only the
+    moduli, each formed once, and the first unit class are stored; the rest
+    is read off them: n_i | n_{i+1}, so m_i | m_{i+1}, and the connecting
+    map multiplies by the geometric sum m_{i+1} / m_i, which carries the
+    unit class m_i / (k - 1) = psi(1) to the next one.  K_1 vanishes at
+    every level: the closed-form kernel pivot 1 - k**-n = m_i / (m_i + 1)
+    has numerator k**n - 1 = -1 (mod k), never 0.
     """
     k = spec.k
     moduli = tuple(k ** n - 1 for n in spec.levels)
-    certificates = tuple(kernel_certificate(k, n) for n in spec.levels)
-    colimit = CyclicColimit(
-        moduli=moduli,
-        maps=tuple(CyclicHom(a, b, b // a) for a, b in zip(moduli, moduli[1:])),
-        unit_thread=tuple(CyclicElement(m, m // (k - 1)) for m in moduli),
-        level_rule=spec.rule,
-    )
-    return OdometerKTheory(k0=colimit, kernel_certificates=certificates)
+    return OdometerKTheory(CyclicColimit(moduli, moduli[0] // (k - 1), spec.rule))
 
 
 class CorrespondenceIdentityError(Exception):

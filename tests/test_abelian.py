@@ -1,6 +1,5 @@
 """Tests for cyclic groups, localized quotients and tensor reductions."""
 
-import math
 from fractions import Fraction
 from random import Random
 
@@ -9,6 +8,7 @@ import pytest
 from kcalc.abelian import (
     CyclicElement,
     CyclicHom,
+    LocalizedQuotient,
     TensorReduction,
     quotient_localized_by_m,
     tensor_cyclic_with_localized,
@@ -46,27 +46,6 @@ class TestCyclicHom:
         ident = CyclicHom(6, 6, 1)
         assert ident(CyclicElement(6, 5)) == CyclicElement(6, 5)
 
-    def _random_hom(self, rng, source, target):
-        step = target // math.gcd(source, target)
-        t = rng.randrange(target // step)
-        return CyclicHom(source, target, t * step)
-
-    def test_injectivity_matches_exhaustive_kernel(self):
-        rng = Random(11)
-        for _ in range(200):
-            source = rng.randrange(1, 1001)
-            target = rng.randrange(1, 1001)
-            h = self._random_hom(rng, source, target)
-            kernel = sum(
-                1 for x in range(source) if (x * h.multiplier) % target == 0
-            )
-            assert kernel == h.kernel_size()
-            assert h.is_injective() == (kernel == 1)
-            # the closed-form criterion from the kernel count
-            assert h.is_injective() == (
-                math.gcd(h.multiplier, target) * source == target
-            )
-
 
 class TestLocalizedQuotient:
     def test_example_half_mod_three(self):
@@ -86,6 +65,15 @@ class TestLocalizedQuotient:
             quotient_localized_by_m(S2, 6)
         with pytest.raises(ValueError):
             quotient_localized_by_m(SupernaturalNumber.coprime_complement(2), 3)
+
+    def test_constructor_refuses_what_reduce_cannot_invert(self):
+        # 2 is invertible in the localized group, so Z_6 is no quotient of it
+        with pytest.raises(ValueError, match="^6 shares a prime with"):
+            LocalizedQuotient(6, S2)
+        for m in (0, -3):
+            with pytest.raises(ValueError, match="^m must be positive$"):
+                LocalizedQuotient(m, S2)
+        assert LocalizedQuotient(3, S2) == quotient_localized_by_m(S2, 3)
 
     def test_rejects_foreign_values(self):
         q = quotient_localized_by_m(S2, 3)

@@ -9,10 +9,11 @@ from itertools import product
 import pytest
 from sympy import factorint, primerange
 
-from kcalc.abelian import CyclicElement, CyclicHom
+from kcalc.abelian import CyclicElement
 from kcalc.arith import FactorizationBudgetError, SupernaturalNumber, valuation
 from kcalc.colimit import (
     CyclicColimit,
+    DistinguishVerdict,
     Geometric,
     PrimePowerWitness,
     distinguish_colimits,
@@ -30,21 +31,22 @@ def binary_tower(levels=(1, 2, 4), rule=None):
 
 
 class TestColimitStructure:
-    def test_rejects_mismatched_maps(self):
-        with pytest.raises(ValueError):
-            CyclicColimit(moduli=(3, 15), maps=(CyclicHom(3, 30, 10),))
+    def test_rejects_non_positive_modulus(self):
+        with pytest.raises(ValueError, match="at least one stage"):
+            CyclicColimit(())
+        for moduli in ((0,), (-3,), (3, 0), (1, -2), (3, -15)):
+            with pytest.raises(ValueError, match="not positive, each dividing the next"):
+                CyclicColimit(moduli)
 
-    def test_rejects_non_injective_map(self):
-        with pytest.raises(ValueError):
-            CyclicColimit(moduli=(4, 8), maps=(CyclicHom(4, 8, 4),))
+    def test_rejects_modulus_not_dividing_the_next(self):
+        # multiplication by m_{i+1} / m_i is then no injective map Z_{m_i} -> Z_{m_{i+1}}
+        for moduli in ((3, 16), (2, 6, 9), (4, 2), (15, 3)):
+            with pytest.raises(ValueError, match="not positive, each dividing the next"):
+                CyclicColimit(moduli, 1)
 
-    def test_rejects_broken_unit_thread(self):
-        with pytest.raises(ValueError):
-            CyclicColimit(
-                moduli=(3, 15),
-                maps=(CyclicHom(3, 15, 5),),
-                unit_thread=(CyclicElement(3, 1), CyclicElement(15, 6)),
-            )
+    def test_unit_is_stored_reduced(self):
+        assert CyclicColimit((3, 15), 4) == CyclicColimit((3, 15), 1)
+        assert CyclicColimit((3, 15), -2).unit_thread == (CyclicElement(3, 1), CyclicElement(15, 5))
 
 
 class TestOrderSpectrum:
@@ -228,6 +230,15 @@ class TestPrimePowerWitness:
                 PrimePowerWitness(4, p, 1, 5, 1)
         assert PrimePowerWitness(4, 2, 1, 5, 1).divisibility_holds(2)
 
+    def test_constructor_refuses_a_composite_q_or_an_exponent_below_one(self):
+        # the order of 2 mod 15 is 4 = 2**2, yet 15 is no prime power
+        with pytest.raises(ValueError, match="^15 is not prime$"):
+            PrimePowerWitness(2, 2, 2, 15, 1)
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="^r must be >= 1$"):
+                PrimePowerWitness(2, 2, 2, 5, r)
+        assert PrimePowerWitness(2, 2, 2, 5, 1).prime_power == 5
+
 
 class TestDistinguish:
     def test_example_ratio_two_vs_three(self):
@@ -277,6 +288,16 @@ class TestDistinguish:
     def test_negative_budget_is_refused(self):
         with pytest.raises(ValueError, match="budget_bits must be non-negative"):
             distinguish_colimits(2, Geometric(1, 2), Geometric(1, 3), budget_bits=-5)
+
+    def test_verdict_holds_a_witness_and_its_stage_or_neither(self):
+        witness = PrimePowerWitness(2, 3, 1, 7, 1)
+        for args in ((None, 3), (witness, None)):
+            with pytest.raises(ValueError, match="both a witness and its first stage, or neither"):
+                DistinguishVerdict(*args)
+        for stage in (0, -1):
+            with pytest.raises(ValueError, match="^stages are numbered from 1$"):
+                DistinguishVerdict(witness, stage)
+        assert DistinguishVerdict(witness, 1).distinct and not DistinguishVerdict().distinct
 
     def test_distinct_implies_spectrum_disagreement(self):
         verdict = distinguish_colimits(2, Geometric(1, 2), Geometric(1, 3))

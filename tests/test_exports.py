@@ -74,12 +74,8 @@ def test_module_all_lists_exactly_its_public_definitions(module):
 # One instance of each value type: (class, positional arguments, field names,
 # exact repr, defaults of the trailing fields).  The arguments are given
 # before normalisation, so a rebuilt copy goes through the same checks.
-HOM = "CyclicHom(source_modulus=3, target_modulus=15, multiplier=5)"
 RULE = "Geometric(first=2, ratio=2)"
-COLIMIT = (
-    f"CyclicColimit(moduli=(3, 15), maps=({HOM},), unit_thread=(CyclicElement(modulus=3, residue=1),"
-    f" CyclicElement(modulus=15, residue=5)), level_rule={RULE})"
-)
+COLIMIT = f"CyclicColimit(moduli=(3, 15), unit=1, level_rule={RULE})"
 WITNESS = "PrimePowerWitness(k=2, p=3, s=1, q=7, r=1)"
 FN = "LocallyConstantFn(k=2, values=(KPowerRational(1, base=2), KPowerRational(1/2^1)))"
 ARROW = (
@@ -89,9 +85,7 @@ ARROW = (
 
 
 def _value_cases():
-    hom = CyclicHom(3, 15, 5)
-    units = (CyclicElement(3, 1), CyclicElement(15, 5))
-    colimit = CyclicColimit((3, 15), (hom,), units, Geometric(2, 2))
+    colimit = CyclicColimit((3, 15), 4, Geometric(2, 2))
     witness = PrimePowerWitness(2, 3, 1, 7, 1)
     fn = LocallyConstantFn(2, (KPowerRational(2, 1), KPowerRational(2, 1, 1)))
     return [
@@ -121,10 +115,10 @@ def _value_cases():
         (Geometric, (2, 3), ("first", "ratio"), "Geometric(first=2, ratio=3)", {}),
         (
             CyclicColimit,
-            ((3, 15), (hom,), units, Geometric(2, 2)),
-            ("moduli", "maps", "unit_thread", "level_rule"),
+            ((3, 15), 4, Geometric(2, 2)),
+            ("moduli", "unit", "level_rule"),
             COLIMIT,
-            {"unit_thread": None, "level_rule": None},
+            {"unit": None, "level_rule": None},
         ),
         (OrderBound, (3, True), ("prefix_max", "exact"), "OrderBound(prefix_max=3, exact=True)", {}),
         (PrimePowerWitness, (2, 3, 1, 7, 1), ("k", "p", "s", "q", "r"), WITNESS, {}),
@@ -160,9 +154,9 @@ def _value_cases():
         (SeriesMembership, (fn,), ("witness",), f"SeriesMembership(witness={FN})", {}),
         (
             OdometerKTheory,
-            (colimit, (Fraction(3, 4),)),
-            ("k0", "kernel_certificates"),
-            f"OdometerKTheory(k0={COLIMIT}, kernel_certificates=(Fraction(3, 4),))",
+            (colimit,),
+            ("k0",),
+            f"OdometerKTheory(k0={COLIMIT})",
             {},
         ),
         (
@@ -240,6 +234,18 @@ DERIVED_CASES = [
     (CuntzIdentification(2, 2, ()), {"supernatural": SupernaturalNumber.coprime_complement(1)}),
     (TensorReduction(12, 3), {"generator_image": CyclicElement(3, 1), "surjection": CyclicHom(12, 3, 1)}),
     (CorrespondenceReport(2, 3, 4), {"positivity_checks": 4, "module_identity_checks": 4, "rank_one_checks": 4}),
+    (
+        CyclicColimit((3, 15, 255), 1),
+        {
+            "maps": (CyclicHom(3, 15, 5), CyclicHom(15, 255, 17)),
+            "unit_thread": (CyclicElement(3, 1), CyclicElement(15, 5), CyclicElement(255, 85)),
+        },
+    ),
+    (CyclicColimit((1, 3)), {"maps": (CyclicHom(1, 3, 3),), "unit_thread": None}),
+    (
+        OdometerKTheory(CyclicColimit((3, 15, 255), 0)),
+        {"kernel_certificates": (Fraction(3, 4), Fraction(15, 16), Fraction(255, 256))},
+    ),
 ]
 
 

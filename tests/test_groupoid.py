@@ -12,6 +12,7 @@ from kcalc.groupoid import (
     ArrowClass,
     Cylinder,
     InsufficientPrefixError,
+    IsotropyCertificate,
     ResolutionExhaustedError,
     certify_no_isotropy,
     compose_arrows,
@@ -329,6 +330,19 @@ class TestIsotropyCertificate:
     def test_zero_bound(self):
         cert = certify_no_isotropy(OdometerSpec(2, (1, 2)), 0)
         assert cert.stage == 1
+
+    def test_constructor_refuses_a_bound_the_level_cannot_give(self):
+        with pytest.raises(ValueError, match="^level 2 does not exceed the displacement bound 5$"):
+            IsotropyCertificate(stage=1, level=2, max_displacement=5)
+        with pytest.raises(ValueError, match="^level 3 does not exceed the displacement bound 3$"):
+            IsotropyCertificate(2, 3, 3)
+        with pytest.raises(ValueError, match="^displacement bound must be non-negative$"):
+            IsotropyCertificate(1, 2, -1)
+        for stage in (0, -1):
+            with pytest.raises(ValueError, match="^stages are numbered from 1$"):
+                IsotropyCertificate(stage, 2, 1)
+        with pytest.raises(ValueError, match="^displacement bound must be non-negative$"):
+            certify_no_isotropy(OdometerSpec(2, (1, 2)), -1)
 
     def test_insufficient_prefix(self):
         with pytest.raises(InsufficientPrefixError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcalc.abelian import CyclicElement
+from kcalc.abelian import CyclicElement, CyclicHom
 from kcalc.arith import KPowerRational
 from kcalc.odometer import (
     LocallyConstantFn,
@@ -390,9 +390,12 @@ class TestConnectingMap:
                 assert h(tower_stage(k, a)[1]) == tower_stage(k, b)[1]
 
     def test_injective(self):
+        # exhaustive kernel count: only 0 in the source maps to 0
         for k in (2, 3, 6):
             for a, b in ((1, 2), (2, 6), (1, 4)):
-                assert tower_map(k, a, b).is_injective()
+                h = tower_map(k, a, b)
+                kernel = [x for x in range(h.source_modulus) if x * h.multiplier % h.target_modulus == 0]
+                assert kernel == [0]
 
 
 class TestK0Odometer:
@@ -419,3 +422,16 @@ class TestK0Odometer:
         result = k0_odometer(OdometerSpec(3, (1, 2, 4, 8)))
         assert result.kernel_certificates == tuple(1 - Fraction(1, 3 ** n) for n in (1, 2, 4, 8))
         assert all(pivot != 0 for pivot in result.kernel_certificates)
+
+    def test_derived_values_match_the_stored_formulas(self):
+        # maps, unit thread and pivots are read off the moduli; each equals its closed form
+        chains = ((1,), (2,), (1, 2), (1, 2, 4), (2, 6), (1, 3, 9), (2, 4, 12), (3, 6, 12, 24), (5, 10, 30))
+        for k, levels in product(range(2, 11), chains):
+            result = k0_odometer(OdometerSpec(k, levels))
+            moduli = tuple(k ** n - 1 for n in levels)
+            thread = tuple(CyclicElement(m, m // (k - 1)) for m in moduli)
+            assert result.k0.moduli == moduli
+            assert result.k0.maps == tuple(CyclicHom(a, b, b // a) for a, b in zip(moduli, moduli[1:]))
+            assert result.k0.unit_thread == thread
+            assert result.kernel_certificates == tuple(1 - Fraction(1, k ** n) for n in levels)
+            assert [h(u) for h, u in zip(result.k0.maps, thread)] == list(thread[1:])
