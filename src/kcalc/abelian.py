@@ -90,8 +90,6 @@ class LocalizedQuotient(_Value):
     __slots__ = ("modulus", "constraint")
 
     def __init__(self, modulus: int, constraint: SupernaturalNumber):
-        if modulus < 1:
-            raise ValueError("m must be positive")
         if not constraint.coprime_to_all_of(modulus):
             raise ValueError(
                 f"{modulus} shares a prime with the supernatural number {constraint.describe()}"
@@ -147,6 +145,4 @@ def tensor_cyclic_with_localized(m: int, s: SupernaturalNumber) -> TensorReducti
     exactly when v_p(s) is finite, and primes with infinite multiplicity
     make the localized group p-divisible and are cancelled.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    return TensorReduction(m, s.finite_part(m))
+    return TensorReduction(m, s.finite_part(m))  # finite_part refuses m < 1

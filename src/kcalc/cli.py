@@ -77,8 +77,7 @@ def _spec_from_args(args) -> OdometerSpec:
         return OdometerSpec(args.k, _parse_levels(args.levels))
     if args.rule is not None:
         rule = _parse_rule(args.rule)
-        if args.stages > 0:  # bound the stage count before any level is formed
-            _refuse_unprintable_stage(args.k, args.stages)
+        _refuse_unprintable_stage(args.k, args.stages)  # before any level is formed
         return OdometerSpec(args.k, rule.levels(args.stages), rule=rule)
     raise ValueError("one of --levels or --rule is required")
 
@@ -402,13 +401,12 @@ def _render(report: dict, table: bool) -> str:
 
 def _emit(report: dict, args) -> None:
     try:
-        text = _render(report, getattr(args, "table", False))
+        text = _render(report, args.table)
     except ValueError:  # an int longer than sys.get_int_max_str_digits()
         raise _too_long() from None
     # Write the file first, so that an unwritable --out prints no report.
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
 

@@ -70,7 +70,8 @@ class CyclicColimit(_Value):
     Z_{m_1}, or None, and the maps carry it along the unit thread.  Both are
     read off the moduli.  ``level_rule`` declares the prefix to be the tower
     Z_{k**n_i - 1} of an odometer whose levels n_i follow the rule; it lets
-    order-spectrum statements be certified over all stages, not the prefix.
+    order-spectrum statements be certified over all stages, not the prefix,
+    so each m_{i+1} + 1 must be (m_i + 1)**ratio.
     """
 
     __slots__ = ("moduli", "unit", "level_rule")
@@ -85,6 +86,11 @@ class CyclicColimit(_Value):
             raise ValueError("a colimit prefix needs at least one stage")
         if min(moduli) < 1 or any(b % a for a, b in zip(moduli, moduli[1:])):
             raise ValueError(f"moduli {moduli} are not positive, each dividing the next")
+        if level_rule is not None:
+            r = level_rule.ratio  # (a + 1)**r >= 2**(((a + 1).bit_length() - 1) * r) is not formed
+            for a, b in zip(moduli, moduli[1:]):  # when that bound already exceeds b + 1
+                if ((a + 1).bit_length() - 1) * r >= (b + 1).bit_length() or (a + 1) ** r != b + 1:
+                    raise ValueError(f"moduli {moduli} do not follow the ratio {r} of the level rule")
         if unit is not None:
             unit %= moduli[0]
         self._init(moduli, unit, level_rule)
@@ -195,7 +201,8 @@ def prime_power_order_witness(
 
     Phi_{p**s}(k) > k**phi(p**s) >= 2**(phi(p**s) * (k.bit_length() - 1)),
     so the budget is checked on that bound before k**(p**s) is formed, and
-    on s alone (phi(p**s) >= 2**(s - 1)) before p**s is formed.
+    on s alone before p**s is formed: phi(p**s) >= 2**(s - 1) > budget_bits
+    once s - 1 reaches the budget's bit length.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -204,7 +211,7 @@ def prime_power_order_witness(
     if s < 1:
         raise ValueError("s must be >= 1")
     _check_budget(budget_bits)
-    if s - 1 > budget_bits or p ** (s - 1) * (p - 1) * (k.bit_length() - 1) >= budget_bits:
+    if s - 1 >= budget_bits.bit_length() or p ** (s - 1) * (p - 1) * (k.bit_length() - 1) >= budget_bits:
         raise FactorizationBudgetError(
             f"factorization out of budget: Phi_{{{p}^{s}}}({k}) has more than"
             f" {budget_bits} bits, guard is {budget_bits} bits"

@@ -155,8 +155,9 @@ def enumerate_arrows(
     max_displacement 0 there are no rows, each cylinder is built when it is
     reached, and a caller that counts or samples the classes holds none but
     those it keeps.  The arguments are checked at call time, before the
-    first class: a bad argument, or a shape with more than 2**18 classes (a
-    bound on time), raises ValueError here, not at the first next().
+    first class: a bad argument, or a shape over the bound on time (2**18
+    classes, and depth + max_displacement 19 for every k, which bounds a k = 1
+    shape's words), raises ValueError here, not at the first next().
     """
     if k < 1 or vertex_level < 1 or depth < 0:
         raise ValueError("need k >= 1, vertex_level >= 1 and depth >= 0")
@@ -167,21 +168,15 @@ def enumerate_arrows(
             f"max_displacement {max_displacement} exceeds depth {depth}: "
             "insufficient resolution"
         )
-    # For k >= 2 a long exponent alone exceeds the cap; k**exponent is not formed.
+    # Bounding the exponent first keeps k**exponent short, and each word of k = 1 too.
     exponent = depth + max_displacement
-    if (k > 1 and exponent > _ARROW_CAP.bit_length()) or (
+    if exponent > _ARROW_CAP.bit_length() or (
         (2 * max_displacement + 1) * vertex_level * k ** exponent > _ARROW_CAP
     ):
         raise ValueError(
-            f"the shape has more than {_ARROW_CAP} arrow classes, the enumeration cap"
+            f"the shape exceeds the enumeration bound: at most {_ARROW_CAP} arrow"
+            f" classes, and depth + max_displacement at most {_ARROW_CAP.bit_length()}"
         )
-    return _arrows(k, vertex_level, depth, max_displacement)
-
-
-def _arrows(
-    k: int, vertex_level: int, depth: int, max_displacement: int
-) -> Iterator[ArrowClass]:
-    """The classes of ``enumerate_arrows``, in its order, for checked arguments."""
     if max_displacement:
         return chain.from_iterable(_blocks(k, vertex_level, depth, max_displacement))
     # The one block is m = n = 0, where each class pairs a cylinder with itself.
@@ -196,7 +191,7 @@ def _arrows(
 def _blocks(
     k: int, vertex_level: int, depth: int, max_displacement: int
 ) -> Iterator[Iterator[ArrowClass]]:
-    """The classes of ``_arrows`` for max_displacement >= 1: one map per block and base."""
+    """The classes of ``enumerate_arrows`` for max_displacement >= 1: one map per block and base."""
     # rows[base] holds the cylinders of every word at that base in product order:
     # letter j of word i is 1 + the j-th of the depth base-k digits of i, leading first.
     words = tuple(product(range(1, k + 1), repeat=depth))

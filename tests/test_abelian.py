@@ -73,6 +73,8 @@ class TestLocalizedQuotient:
         for m in (0, -3):
             with pytest.raises(ValueError, match="^m must be positive$"):
                 LocalizedQuotient(m, S2)
+            with pytest.raises(ValueError, match="^m must be positive$"):
+                tensor_cyclic_with_localized(m, S2)
         assert LocalizedQuotient(3, S2) == quotient_localized_by_m(S2, 3)
 
     def test_rejects_foreign_values(self):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from itertools import product
+from time import perf_counter
 
 import pytest
 from sympy import factorint, primerange
@@ -43,6 +44,19 @@ class TestColimitStructure:
         for moduli in ((3, 16), (2, 6, 9), (4, 2), (15, 3)):
             with pytest.raises(ValueError, match="not positive, each dividing the next"):
                 CyclicColimit(moduli, 1)
+
+    def test_rejects_moduli_that_do_not_follow_the_level_rule(self):
+        # 15 + 1 = 4**2, not 4**3: order_spectrum would certify the prefix's 5 as exact
+        for moduli, rule in (
+            ((3, 15), Geometric(1, 3)),
+            ((3, 63), Geometric(1, 2)),
+            ((1, 3, 63), Geometric(1, 2)),
+            ((3, 15), Geometric(1, 10 ** 12)),
+        ):
+            with pytest.raises(ValueError, match="do not follow the ratio"):
+                CyclicColimit(moduli, level_rule=rule)
+        assert CyclicColimit((3, 15, 255), level_rule=Geometric(1, 2)).level_rule.ratio == 2
+        assert CyclicColimit((7, 511), level_rule=Geometric(1, 3)).moduli == (7, 511)
 
     def test_unit_is_stored_reduced(self):
         assert CyclicColimit((3, 15), 4) == CyclicColimit((3, 15), 1)
@@ -216,6 +230,13 @@ class TestPrimePowerWitness:
         for s in (41, 10 ** 18):
             with pytest.raises(FactorizationBudgetError, match="more than 96 bits"):
                 prime_power_order_witness(2, 2, s)
+
+    def test_huge_exponent_under_a_huge_budget_is_refused_at_once(self):
+        # s - 1 is compared with the budget's bit length: 3**(s - 1) is not formed
+        start = perf_counter()
+        with pytest.raises(FactorizationBudgetError, match="guard is 100000000000 bits"):
+            prime_power_order_witness(2, 3, 3 * 10 ** 7, budget_bits=10 ** 11)
+        assert perf_counter() - start < 1.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

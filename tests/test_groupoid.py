@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections.abc import Iterator
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -263,6 +264,23 @@ class TestEnumerate:
         # the call itself raises: no next() is needed to see the error
         with pytest.raises(ValueError):
             enumerate_arrows(*args)
+
+    def test_deep_single_letter_shape_is_refused_at_call_time(self):
+        # one class per base, but each would hold a word of 2 * 10**7 letters
+        start = perf_counter()
+        with pytest.raises(ValueError, match="enumeration bound") as raised:
+            enumerate_arrows(1, 1, 2 * 10 ** 7, 0)
+        assert perf_counter() - start < 1.0
+        assert "more than" not in str(raised.value)
+
+    @pytest.mark.parametrize("args", [(1, 3, 19, 0), (1, 2, 18, 1), (1, 1, 10, 9)])
+    def test_single_letter_shapes_up_to_depth_plus_displacement_19_enumerate(self, args):
+        k, level, depth, disp = args
+        arrows = list(enumerate_arrows(*args))
+        assert len(arrows) == (2 * disp + 1) * level
+        assert all(a.source.depth == depth for a in arrows)
+        with pytest.raises(ValueError, match="enumeration bound"):
+            enumerate_arrows(k, level, depth + 1, disp)
 
 
 class TestComposition:

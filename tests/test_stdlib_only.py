@@ -1,5 +1,5 @@
-"""The library imports nothing outside the standard library, the CLI loads no dataclasses,
-and the package import leaves the CLI and argparse unloaded."""
+"""The library imports nothing outside the standard library, its syntax is Python 3.10's,
+the CLI loads no dataclasses, and the package import leaves the CLI and argparse unloaded."""
 
 import ast
 import os
@@ -26,6 +26,17 @@ def test_every_absolute_import_is_stdlib_or_kcalc():
                 if top != "kcalc" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno}: {name}")
     assert foreign == []
+
+
+def test_every_source_parses_as_python_3_10():
+    """The floor ``requires-python = ">=3.10.7"`` holds for syntax.
+
+    ``feature_version`` refuses grammar newer than 3.10, such as ``except*``.
+    It checks syntax only: a name the standard library gained in 3.11, or a
+    3.11 behaviour, still passes.
+    """
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def _loaded(statement: str, modules: set[str]) -> str:
