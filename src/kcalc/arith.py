@@ -3,12 +3,16 @@
 Elements of Z[1/k] (integers with a distinguished inverted base),
 supernatural numbers, p-adic valuations, integer factorization (small
 primes, then Pollard p-1 (stage 1, bound B), then Brent rho, behind a size
-guard) and multiplicative orders.
+guard) and multiplicative orders.  Factorizations are memoized per process,
+up to a fixed bound of entries; the size guard is checked before the memo is
+read.  A CLI run is one process, so only in-process callers reuse them: the
+library, repeated ``kcalc.cli.main`` calls and ``selftest``.
 Everything here is integer-exact; the library never touches floating point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from random import Random
@@ -39,6 +43,11 @@ _MR_TAIL = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 # dividing d is 1 mod d, so q - 1 is often B-smooth for the small d of a
 # tower.  A larger B makes every pass that finds nothing dearer.
 _PM1_BOUND = 1024
+
+# Entries kept by the factorization memo, least recently used first out.  A
+# towers benchmark round factors about 140 distinct integers of at most 96
+# bits, so the memo holds several rounds at a few hundred kilobytes.
+_FACTOR_MEMO_SIZE = 1024
 
 
 class FactorizationBudgetError(Exception):
@@ -204,7 +213,9 @@ def factorize(n: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> dict[int, in
     Pollard p-1 (stage 1, bound B = 1024) or, when that finds no proper
     divisor, by deterministic-seeded Brent rho, until is_prime accepts
     every part.  Inputs above 2**budget_bits raise FactorizationBudgetError;
-    a negative budget raises ValueError.
+    a negative budget raises ValueError.  These checks come first; then the
+    result is read from a per-process memo of the last 1024 distinct inputs,
+    or computed and stored there.  Each call returns a fresh dict.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -214,13 +225,23 @@ def factorize(n: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> dict[int, in
             f"factorization out of budget: input has {n.bit_length()} bits, "
             f"guard is {budget_bits} bits"
         )
+    return dict(_factor_pairs(n))
+
+
+@functools.lru_cache(maxsize=_FACTOR_MEMO_SIZE)
+def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, multiplicity) pairs of n >= 1 in the order they are found.
+
+    The primes 2..37 come first, in increasing order.  Rho is seeded from n,
+    so a memo hit returns what a recompute would.
+    """
     powers: dict[int, int] = {}
     for p in _MR_BASES:
         while n % p == 0:
             powers[p] = powers.get(p, 0) + 1
             n //= p
     _factor_into(n, powers)
-    return powers
+    return tuple(powers.items())
 
 
 def prime_factors(n: int, *, budget_bits: int = DEFAULT_BUDGET_BITS) -> list[int]:

@@ -233,6 +233,56 @@ class TestFactorize:
         assert factorize(n) == factorize(n) == {10 ** 7 + 19: 1, 10 ** 7 + 79: 1}
 
 
+class TestFactorizationMemo:
+    def test_each_call_returns_a_fresh_dict(self):
+        n = 2 ** 3 * 3 ** 2 * 1021 * 1033
+        first = factorize(n)
+        second = factorize(n)
+        assert first == second and first is not second
+        assert list(first.items()) == [(2, 3), (3, 2), (1021, 1), (1033, 1)]
+        first[2] = 99
+        del first[3]
+        assert factorize(n) == {2: 3, 3: 2, 1021: 1, 1033: 1}
+
+    def test_a_cached_input_is_still_held_to_the_budget(self):
+        n = (3 ** 59 - 1) // 2  # 93 bits
+        assert factorize(n) == {14425532687: 1, 489769993189671059: 1}
+        with pytest.raises(FactorizationBudgetError) as caught:
+            factorize(n, budget_bits=92)
+        assert str(caught.value) == (
+            "factorization out of budget: input has 93 bits, guard is 92 bits"
+        )
+        with pytest.raises(ValueError) as caught:
+            factorize(n, budget_bits=-1)
+        assert str(caught.value) == "budget_bits must be non-negative, got -1"
+        with pytest.raises(ValueError, match="factorize expects n >= 1"):
+            factorize(0)
+
+    def test_a_warm_call_runs_no_split(self, monkeypatch):
+        n = (4 ** 49 - 1) // (4 ** 7 - 1)
+        expected = factorize(n)
+
+        def no_split(m):
+            raise AssertionError(f"split called on {m}")
+
+        monkeypatch.setattr(arith, "_pollard_pm1", no_split)
+        monkeypatch.setattr(arith, "_brent_rho", no_split)
+        assert factorize(n) == expected
+        assert prime_factors(n) == sorted(expected)
+        arith._factor_pairs.cache_clear()
+        with pytest.raises(AssertionError, match="split called"):
+            factorize(n)
+
+    def test_the_memo_holds_at_most_its_bound(self):
+        bound = arith._FACTOR_MEMO_SIZE
+        for n in range(1, bound + 101):
+            factorize(n)
+        info = arith._factor_pairs.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize == bound
+        assert info.misses == bound + 100
+
+
 class TestMultiplicativeOrder:
     def test_examples(self):
         assert multiplicative_order(2, 5) == 4

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -18,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kcalc
-from kcalc import cli
+from kcalc import arith, cli
 from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _refuse_unprintable, main
 from kcalc.groupoid import enumerate_arrows
 from oracles import full_parser
+from test_readme_reports import readme_examples
 
 
 def run_cli(capsys, *argv):
@@ -575,6 +578,35 @@ class TestReportPlumbing:
         a.pop("timing_ms")
         b.pop("timing_ms")
         assert a == b
+
+    def test_cold_and_warm_factorization_memo_agree(self, capsys):
+        # the first pass starts from the empty memo conftest leaves; the
+        # second reads every factorization from it, and must print the same
+        # reports and exit codes
+        argvs = [shlex.split(line)[1:] for line in readme_examples()] + [
+            ["witness", "--k", "3", "--p", "59", "--s", "1"],
+            ["witness", "--k", "4", "--p", "7", "--s", "2"],
+            ["witness", "--k", "10", "--p", "3", "--s", "2"],
+            ["witness", "--k", "10", "--p", "3", "--s", "2", "--budget-bits", "16"],
+            ["distinguish", "--k", "4", "--rule-a", "1,7", "--rule-b", "1,2"],
+            ["distinguish", "--k", "10", "--rule-a", "2,3", "--rule-b", "1,5"],
+            ["k0", "--k", "2", "--rule", "1,3", "--stages", "3"],
+            ["k0", "--k", "7", "--rule", "geometric:2,2", "--stages", "4"],
+        ]
+        timing = re.compile(r'"timing_ms": [-+.0-9e]+')
+
+        def reports():
+            return [(code, timing.sub('"timing_ms": _', out), err)
+                    for code, out, err in (run_cli(capsys, *argv) for argv in argvs)]
+
+        cold = reports()
+        filled = arith._factor_pairs.cache_info()
+        warm = reports()
+        after = arith._factor_pairs.cache_info()
+        assert filled.misses > 0 and after.misses == filled.misses
+        assert after.hits > filled.hits
+        assert warm == cold
+        assert {code for code, _, _ in cold} == {EXIT_OK, EXIT_BUDGET}
 
     def test_table_output(self, capsys):
         code, out, _ = run_cli(capsys, "k0", "--k", "2", "--levels", "1,2", "--table")
