@@ -6,7 +6,8 @@ primes, then Pollard p-1 (stage 1, bound B), then Brent rho, behind a size
 guard) and multiplicative orders.  Factorizations are memoized per process,
 up to a fixed bound of entries; the size guard is checked before the memo is
 read.  A CLI run is one process, so only in-process callers reuse them: the
-library, repeated ``kcalc.cli.main`` calls and ``selftest``.
+library, repeated ``kcalc.cli.main`` calls and ``selftest``.  Every k**n - 1
+formed from a caller's n first passes ``_check_printable``, the print limit.
 Everything here is integer-exact; the library never touches floating point.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -57,6 +59,35 @@ class FactorizationBudgetError(Exception):
 def _check_budget(budget_bits: int) -> None:
     if budget_bits < 0:
         raise ValueError(f"budget_bits must be non-negative, got {budget_bits}")
+
+
+@functools.lru_cache(maxsize=1)
+def _digit_ceiling(limit: int) -> int:
+    """10**limit, the least integer with limit + 1 digits (about 0.1 ms to form)."""
+    return 10 ** limit
+
+
+def _check_printable(k: int, n: int) -> None:
+    """Refuse k**n - 1 with ValueError, before it is formed, if it cannot be printed.
+
+    Python prints an integer of at most ``sys.get_int_max_str_digits()``
+    digits, read at each call (0: no limit), and a result no report can print
+    is one nobody can check.  Bit lengths settle every case but a narrow band
+    near the limit, where k**n is formed.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        return
+    ceiling = _digit_ceiling(limit)
+    bits = ceiling.bit_length()  # 2**(bits - 1) <= ceiling < 2**bits
+    b = k.bit_length()  # 2**(b - 1) <= k < 2**b
+    if n * b < bits or (n * (b - 1) < bits and k ** n - 1 < ceiling):
+        return
+    power = f"{k}^{n} - 1" if n < ceiling else f"{k}^n - 1 (a level n of more than {limit} digits)"
+    raise ValueError(
+        f"{power} has more than {limit} digits, more than a report can print;"
+        " use a smaller k or level"
+    )
 
 
 def is_prime(n: int) -> bool:

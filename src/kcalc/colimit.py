@@ -7,7 +7,8 @@ UHF-tensored odometer tower with the K-theory of a Cuntz algebra, which
 forms no level and no k**n: every level is 1 mod k-1, so one congruence
 mod k-1 certifies every stage, and K_1 = 0 holds at every level.  The
 identification stores only that congruence, and a verdict is distinct
-exactly when it holds a witness.
+exactly when it holds a witness.  The witness's k**(p**s) - 1 and the levels
+and moduli read off the identification raise ValueError if too long to print.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .arith import (
     SupernaturalNumber,
     _Value,
     _check_budget,
+    _check_printable,
     factorize,
     is_prime,
     prime_factors,
@@ -202,7 +204,7 @@ def prime_power_order_witness(
     Phi_{p**s}(k) > k**phi(p**s) >= 2**(phi(p**s) * (k.bit_length() - 1)),
     so the budget is checked on that bound before k**(p**s) is formed, and
     on s alone before p**s is formed: phi(p**s) >= 2**(s - 1) > budget_bits
-    once s - 1 reaches the budget's bit length.
+    once s - 1 reaches the budget's bit length; the print limit comes next.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -216,6 +218,7 @@ def prime_power_order_witness(
             f"factorization out of budget: Phi_{{{p}^{s}}}({k}) has more than"
             f" {budget_bits} bits, guard is {budget_bits} bits"
         )
+    _check_printable(k, p ** s)
     small = k ** (p ** (s - 1)) - 1
     q = min(factorize((k ** (p ** s) - 1) // small, budget_bits=budget_bits))
     return PrimePowerWitness(k, p, s, q, valuation(small, q) + 1)
@@ -312,10 +315,12 @@ class IdentificationStage(_Value):
 
     @property
     def level(self) -> int:
+        _check_printable(self.k, self.stage - 1)
         return self.k ** (self.stage - 1)
 
     @property
     def modulus(self) -> int:
+        _check_printable(self.k, self.level)
         return self.k ** self.level - 1
 
     @property
@@ -372,10 +377,12 @@ class CuntzIdentification(_Value):
 
     @property
     def levels(self) -> tuple[int, ...]:
+        _check_printable(self.k, self.depth - 1)  # the last level first
         return tuple(self.k ** i for i in range(self.depth))
 
     @property
     def moduli(self) -> tuple[int, ...]:
+        _check_printable(self.k, self.levels[-1])  # the last modulus first
         return tuple(self.k ** n - 1 for n in self.levels)
 
 

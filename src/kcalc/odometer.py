@@ -17,6 +17,7 @@ k, then one inverse of that power modulo k**n - 1.  The series criterion
 takes g(0) in closed form by the same kind of Horner pass and every later
 value by the recurrence g(x) = f(x) + g(x - 1) / k.  The two share no
 result: the series never calls psi, and its record stores only the preimage.
+Each raises ValueError before it forms a k**n - 1 too long to print.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from random import Random
 
 from .abelian import CyclicElement
-from .arith import KPowerRational, _Value
+from .arith import KPowerRational, _check_printable, _Value
 from .colimit import CyclicColimit, Geometric
 
 __all__ = [
@@ -167,6 +168,7 @@ def psi(f: LocallyConstantFn) -> CyclicElement:
     id - (1/k)T.
     """
     k, n = f.k, f.level
+    _check_printable(k, n)
     numerators, e = _numerators(f)
     acc = 0
     for a in reversed(numerators):
@@ -208,6 +210,7 @@ def membership_series(f: LocallyConstantFn) -> SeriesMembership:
     (id - (1/k)T) g = f exactly.
     """
     k, n = f.k, f.level
+    _check_printable(k, n)
     numerators, e = _numerators(f)
     s = 0
     for j in range(n):
@@ -235,6 +238,7 @@ def kernel_certificate(k: int, n: int) -> Fraction:
     """
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and n >= 1")
+    _check_printable(k, n)
     return 1 - Fraction(1, k ** n)
 
 
@@ -272,6 +276,7 @@ def k0_odometer(spec: OdometerSpec) -> OdometerKTheory:
     has numerator k**n - 1 = -1 (mod k), never 0.
     """
     k = spec.k
+    _check_printable(k, spec.levels[-1])  # the longest modulus
     moduli = tuple(k ** n - 1 for n in spec.levels)
     return OdometerKTheory(CyclicColimit(moduli, moduli[0] // (k - 1), spec.rule))
 

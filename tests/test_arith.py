@@ -1,9 +1,12 @@
 """Tests for the exact-arithmetic foundation."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, log10, prod
 from random import Random
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime, prevprime, totient
 
+import kcalc
 from kcalc import arith
 from kcalc.arith import (
     FactorizationBudgetError,
@@ -303,6 +307,82 @@ class TestMultiplicativeOrder:
         t = multiplicative_order(k, q_r)
         assert t == naive_multiplicative_order(k, q_r)
         assert totient(q_r) % t == 0
+
+
+class TestPrintLimit:
+    """``arith._check_printable`` refuses k**n - 1 with more digits than Python prints."""
+
+    def test_bit_bounds_agree_with_the_exact_comparison(self):
+        ceiling = 10 ** 4300
+        for k in range(2, 70):
+            edge = int(4300 / log10(k))
+            for n in range(edge - 3, edge + 4):
+                try:
+                    arith._check_printable(k, n)
+                    refused = False
+                except ValueError:
+                    refused = True
+                assert refused is (k ** n - 1 >= ceiling), (k, n)
+
+    def test_the_limit_is_read_at_call_time(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(ValueError, match="^2\\^2200 - 1 has more than 640 digits"):
+                arith._check_printable(2, 2200)
+            arith._check_printable(2, 2100)  # 633 digits
+            sys.set_int_max_str_digits(0)
+            arith._check_printable(2, 2200)
+            arith._check_printable(2, 10 ** 18)  # refused by nothing, and not formed
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_a_level_too_long_to_print_is_not_named(self):
+        with pytest.raises(ValueError) as refused:
+            arith._check_printable(2, 10 ** 4300)
+        assert str(refused.value) == (
+            "2^n - 1 (a level n of more than 4300 digits) has more than 4300 digits,"
+            " more than a report can print; use a smaller k or level"
+        )
+
+    def test_library_calls_are_refused_before_the_power_is_formed(self):
+        # each ran for seconds, or ran out of memory, when the library formed k**n - 1;
+        # a fresh interpreter under a 1 GiB address-space limit keeps a regression contained
+        script = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from kcalc import (LocallyConstantFn, OdometerSpec, identify_cuntz_k_theory, k0_odometer,
+                   kernel_certificate, prime_power_order_witness, psi)
+zero = LocallyConstantFn.zero(10**100, 10**5)
+probes = [
+    lambda: k0_odometer(OdometerSpec(2, (10**12,))),
+    lambda: kernel_certificate(2, 10**10),
+    lambda: prime_power_order_witness(3, 2, 30, budget_bits=10**11),
+    lambda: identify_cuntz_k_theory(2, 10**18).moduli,
+    lambda: psi(zero),
+]
+for probe in probes:
+    start = time.perf_counter()
+    try:
+        probe()
+        outcome = "returned"
+    except ValueError as exc:
+        outcome = "refused" if "more than 4300 digits" in str(exc) else repr(exc)
+    print(f"{time.perf_counter() - start:.3f} {outcome}")
+"""
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(kcalc.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        rows = [line.split(" ", 1) for line in done.stdout.splitlines()]
+        assert [outcome for _, outcome in rows] == ["refused"] * 5, done.stdout
+        assert all(float(seconds) < 1.0 for seconds, _ in rows), done.stdout
 
 
 class TestSupernatural:

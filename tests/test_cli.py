@@ -3,7 +3,6 @@
 import argparse
 import io
 import json
-import math
 import os
 import re
 import shlex
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 
 import kcalc
 from kcalc import arith, cli
-from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _refuse_unprintable, main
+from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from kcalc.groupoid import enumerate_arrows
 from oracles import full_parser
 from test_readme_reports import readme_examples
@@ -105,8 +104,8 @@ class TestK0Command:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == (
-            f"error: 2^n at stage {stages} of the rule has more than 4300 digits,"
-            " more than a report can print; use a smaller k or fewer stages\n"
+            "error: 2^16384 - 1 has more than 4300 digits,"
+            " more than a report can print; use a smaller k or level\n"
         )
 
     @pytest.mark.parametrize("stages", ["0", "-3"])
@@ -231,7 +230,7 @@ def zeros(n: int) -> str:
 
 
 class TestOversizeReports:
-    """Reports that would print an integer of more than 4300 digits exit 2 up front."""
+    """Reports that would print an integer of more than 4300 digits exit 2 with a kcalc message."""
 
     def assert_refused(self, capsys, *argv):
         code, out, err = run_cli(capsys, *argv)
@@ -252,18 +251,21 @@ class TestOversizeReports:
         report = run_json(capsys, "k0", "--k", "10", "--levels", "4299")
         assert report["results"]["kernel_pivots"] == [f"{10 ** 4299 - 1}/{10 ** 4299}"]
         err = self.assert_refused(capsys, "k0", "--k", "10", "--levels", "4300")
-        assert "10^4300 " in err
-        self.assert_refused(capsys, "k0", "--k", "2", "--rule", "1,2", "--stages", "15")
-        # 10 stages pass the stage-count bound; the last level, 3**9, is too long for 2**n
-        err = self.assert_refused(capsys, "k0", "--k", "2", "--rule", "1,3", "--stages", "10")
-        assert err == (
-            "error: 2^19683 has more than 4300 digits,"
-            " more than a report can print; use a smaller k or level\n"
-        )
-        # the last level, (10**1000)**5, has 5001 digits, so the message cannot name it
-        err = self.assert_refused(capsys, "k0", "--k", "2", "--rule", f"1,{10 ** 1000}", "--stages", "6")
         assert err == (
             "error: the report holds an integer of more than 4300 digits, more than it can print\n"
+        )
+        self.assert_refused(capsys, "k0", "--k", "2", "--rule", "1,2", "--stages", "15")
+        # the tenth level, 3**9, is the first too long for 2**n
+        err = self.assert_refused(capsys, "k0", "--k", "2", "--rule", "1,3", "--stages", "10")
+        assert err == (
+            "error: 2^19683 - 1 has more than 4300 digits,"
+            " more than a report can print; use a smaller k or level\n"
+        )
+        # the rule is expanded one level at a time, so stage 2's level 10**1000 is refused
+        err = self.assert_refused(capsys, "k0", "--k", "2", "--rule", f"1,{10 ** 1000}", "--stages", "6")
+        assert err == (
+            f"error: 2^{10 ** 1000} - 1 has more than 4300 digits,"
+            " more than a report can print; use a smaller k or level\n"
         )
 
     def test_ok_boundary(self, capsys):
@@ -276,19 +278,6 @@ class TestOversizeReports:
         start = perf_counter()
         self.assert_refused(capsys, "ok", "--k", "1000", "--depth", "4")
         assert perf_counter() - start < 1.0
-
-    def test_bit_bounds_agree_with_the_exact_comparison(self):
-        ceiling = 10 ** 4300
-        for k in range(2, 70):
-            edge = int(4300 / math.log10(k))
-            for n in range(edge - 3, edge + 4):
-                for offset in (0, 1):
-                    try:
-                        _refuse_unprintable(k, n, offset)
-                        refused = False
-                    except ValueError:
-                        refused = True
-                    assert refused is (k ** n - offset >= ceiling), (k, n, offset)
 
     def test_long_witness_value_exits_2(self, capsys):
         # g = 2 f at k = 2, n = 1, one digit longer than the 4300-digit input
@@ -688,8 +677,9 @@ class TestReportPlumbing:
         ("k0", "--k", "2", "--rule", "1,2", "--stages", "1000000"),
         ("ok", "--k", "2", "--depth", "1000000000"),
         ("groupoid", "--k", "2", "--levels", "1,2", "--depth", "40", "--max-disp", "1"),
+        ("witness", "--k", "3", "--p", "2", "--s", "30", "--budget-bits", "100000000000"),
     ],
-    ids=["huge-exponent", "huge-negative-exponent", "long-rule", "deep-ok", "deep-groupoid"],
+    ids=["huge-exponent", "huge-negative-exponent", "long-rule", "deep-ok", "deep-groupoid", "raised-budget"],
 )
 def test_short_argv_is_refused_at_once(argv):
     # each would run without bound if it got past its guard; a fresh interpreter
