@@ -7,7 +7,8 @@ guard) and multiplicative orders.  Factorizations are memoized per process,
 up to a fixed bound of entries; the size guard is checked before the memo is
 read.  A CLI run is one process, so only in-process callers reuse them: the
 library, repeated ``kcalc.cli.main`` calls and ``selftest``.  Every k**n - 1
-formed from a caller's n first passes ``_check_printable``, the print limit.
+the library forms comes from ``_power_minus_one``, which first passes
+``_check_printable``, the print limit.
 Everything here is integer-exact; the library never touches floating point.
 """
 
@@ -81,13 +82,19 @@ def _check_printable(k: int, n: int) -> None:
     ceiling = _digit_ceiling(limit)
     bits = ceiling.bit_length()  # 2**(bits - 1) <= ceiling < 2**bits
     b = k.bit_length()  # 2**(b - 1) <= k < 2**b
-    if n * b < bits or (n * (b - 1) < bits and k ** n - 1 < ceiling):
+    if n * b < bits or (n * (b - 1) < bits and k ** n <= ceiling):
         return
     power = f"{k}^{n} - 1" if n < ceiling else f"{k}^n - 1 (a level n of more than {limit} digits)"
     raise ValueError(
         f"{power} has more than {limit} digits, more than a report can print;"
         " use a smaller k or level"
     )
+
+
+def _power_minus_one(k: int, n: int) -> int:
+    """k**n - 1, the one place the library forms it: refused first if it cannot be printed."""
+    _check_printable(k, n)
+    return k ** n - 1
 
 
 def is_prime(n: int) -> bool:

@@ -11,9 +11,10 @@ handler and builds the report around them: the schema tag, the subcommand
 name, the inputs its subparser names with ``set_defaults(inputs=...)``, and
 the timing.
 
-The library refuses (exit 2) a k**n - 1 too long to print, and ``k0 --rule``
-expands level by level under that check; the CLI refuses only what it parses
-or renders too long: a decimal exponent, or any other integer.
+The library refuses (exit 2) a k**n - 1 too long to print.  ``k0 --rule`` and
+``ok`` (the tower of ``k0 --rule 1,k``) expand their rule level by level under
+that check and read the moduli off ``k0_odometer``; the CLI refuses only what
+it parses or renders too long: a decimal exponent, or any other integer.
 
 ``main(argv)`` also serves in-process callers: it takes the words after
 ``kcalc`` and returns the exit code.  Each call builds a fresh parser, but
@@ -75,16 +76,20 @@ def _parse_rule(text: str) -> Geometric:
     return Geometric(first, ratio)
 
 
+def _rule_spec(k: int, rule: Geometric, stages: int) -> OdometerSpec:
+    """The rule's first ``stages`` levels, each refused before the next if its k**n - 1 cannot print."""
+    levels = []
+    for i in range(1, stages + 1):  # levels at least double: a long rule stops early
+        levels.append(rule.level(i))
+        _check_printable(k, levels[-1])
+    return OdometerSpec(k, levels, rule=rule)
+
+
 def _spec_from_args(args) -> OdometerSpec:
     if args.levels is not None:
         return OdometerSpec(args.k, _parse_levels(args.levels))
     if args.rule is not None:
-        rule = _parse_rule(args.rule)
-        levels = []
-        for i in range(1, args.stages + 1):  # levels at least double: a long rule stops early
-            levels.append(rule.level(i))
-            _check_printable(args.k, levels[-1])
-        return OdometerSpec(args.k, levels, rule=rule)
+        return _rule_spec(args.k, _parse_rule(args.rule), args.stages)
     raise ValueError("one of --levels or --rule is required")
 
 
@@ -137,11 +142,12 @@ def _cmd_k0(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_ok(args) -> tuple[dict, list[str]]:
-    outcome = identify_cuntz_k_theory(args.k, args.depth)
-    moduli = outcome.moduli
+    outcome = identify_cuntz_k_theory(args.k, args.depth)  # checks the depth first
+    spec = _rule_spec(args.k, Geometric(1, args.k), args.depth)  # the levels k**(i-1), as k0 --rule 1,k
+    moduli = k0_odometer(spec).k0.moduli
     k0_desc = "0" if outcome.k0_order == 1 else f"Z_{outcome.k0_order}"
     results = {
-        "levels": list(outcome.levels),
+        "levels": list(spec.levels),
         "moduli": list(moduli),
         "supernatural": outcome.supernatural.describe(),
         "stage_orders": [outcome.k0_order] * outcome.depth,

@@ -7,8 +7,9 @@ UHF-tensored odometer tower with the K-theory of a Cuntz algebra, which
 forms no level and no k**n: every level is 1 mod k-1, so one congruence
 mod k-1 certifies every stage, and K_1 = 0 holds at every level.  The
 identification stores only that congruence, and a verdict is distinct
-exactly when it holds a witness.  The witness's k**(p**s) - 1 and the levels
-and moduli read off the identification raise ValueError if too long to print.
+exactly when it holds a witness.  The tower's levels and moduli themselves
+come from ``odometer.k0_odometer`` under the level rule Geometric(1, k).
+The witness's k**(p**s) - 1 raises ValueError if too long to print.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .arith import (
     SupernaturalNumber,
     _Value,
     _check_budget,
-    _check_printable,
+    _power_minus_one,
     factorize,
     is_prime,
     prime_factors,
@@ -218,9 +219,9 @@ def prime_power_order_witness(
             f"factorization out of budget: Phi_{{{p}^{s}}}({k}) has more than"
             f" {budget_bits} bits, guard is {budget_bits} bits"
         )
-    _check_printable(k, p ** s)
-    small = k ** (p ** (s - 1)) - 1
-    q = min(factorize((k ** (p ** s) - 1) // small, budget_bits=budget_bits))
+    big = _power_minus_one(k, p ** s)  # the larger first: nothing unprintable is formed
+    small = _power_minus_one(k, p ** (s - 1))
+    q = min(factorize(big // small, budget_bits=budget_bits))
     return PrimePowerWitness(k, p, s, q, valuation(small, q) + 1)
 
 
@@ -313,20 +314,6 @@ class IdentificationStage(_Value):
     def unit_image(self) -> int:
         return 1 % (self.k - 1)  # the unit class, the cofactor, is 1 mod k - 1 by the congruence
 
-    @property
-    def level(self) -> int:
-        _check_printable(self.k, self.stage - 1)
-        return self.k ** (self.stage - 1)
-
-    @property
-    def modulus(self) -> int:
-        _check_printable(self.k, self.level)
-        return self.k ** self.level - 1
-
-    @property
-    def cofactor(self) -> int:
-        return self.modulus // (self.k - 1)
-
 
 class CuntzIdentification(_Value):
     """Certified identification of the tensored tower with K-theory of a Cuntz algebra.
@@ -374,16 +361,6 @@ class CuntzIdentification(_Value):
     def stages(self) -> tuple[IdentificationStage, ...]:
         k, shared = self.k, self.cofactor_congruences
         return tuple(IdentificationStage(k, i, shared) for i in range(1, self.depth + 1))
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        _check_printable(self.k, self.depth - 1)  # the last level first
-        return tuple(self.k ** i for i in range(self.depth))
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        _check_printable(self.k, self.levels[-1])  # the last modulus first
-        return tuple(self.k ** n - 1 for n in self.levels)
 
 
 def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from random import Random
 
 from .abelian import CyclicElement
-from .arith import KPowerRational, _check_printable, _Value
+from .arith import KPowerRational, _power_minus_one, _Value
 from .colimit import CyclicColimit, Geometric
 
 __all__ = [
@@ -167,13 +167,12 @@ def psi(f: LocallyConstantFn) -> CyclicElement:
     big-integer steps.  The result vanishes exactly on the image of
     id - (1/k)T.
     """
-    k, n = f.k, f.level
-    _check_printable(k, n)
+    k = f.k
+    modulus = _power_minus_one(k, f.level)
     numerators, e = _numerators(f)
     acc = 0
     for a in reversed(numerators):
         acc = acc * k + a
-    modulus = k ** n - 1
     return CyclicElement(modulus, acc * pow(k, -e, modulus))
 
 
@@ -210,14 +209,14 @@ def membership_series(f: LocallyConstantFn) -> SeriesMembership:
     (id - (1/k)T) g = f exactly.
     """
     k, n = f.k, f.level
-    _check_printable(k, n)
+    modulus = _power_minus_one(k, n)
     numerators, e = _numerators(f)
     s = 0
     for j in range(n):
         s = s * k + numerators[-j % n]
     # s = k**(n - 1 + e) * sum_{j=0}^{n-1} k**-j f(-j)
     unit = k ** e
-    g_values = [Fraction(k * s, (k ** n - 1) * unit)]
+    g_values = [Fraction(k * s, modulus * unit)]
     for x in range(1, n):
         g_values.append(Fraction(numerators[x], unit) + g_values[-1] / k)
     if not all(KPowerRational.fraction_in_ring(v, k) for v in g_values):
@@ -234,12 +233,13 @@ def kernel_certificate(k: int, n: int) -> Fraction:
 
     The cyclic system f(x) = (1/k) f(x - 1) forces f(0) = k**-n f(0) after
     eliminating forward around the cycle; the closing pivot is taken in
-    closed form, and its nonvanishing certifies that only f = 0 solves it.
+    closed form, m / (m + 1) for m = k**n - 1, and its nonvanishing
+    certifies that only f = 0 solves it.
     """
     if k < 2 or n < 1:
         raise ValueError("need k >= 2 and n >= 1")
-    _check_printable(k, n)
-    return 1 - Fraction(1, k ** n)
+    m = _power_minus_one(k, n)
+    return Fraction(m, m + 1)
 
 
 def kernel_is_trivial(k: int, n: int) -> bool:
@@ -276,8 +276,7 @@ def k0_odometer(spec: OdometerSpec) -> OdometerKTheory:
     has numerator k**n - 1 = -1 (mod k), never 0.
     """
     k = spec.k
-    _check_printable(k, spec.levels[-1])  # the longest modulus
-    moduli = tuple(k ** n - 1 for n in spec.levels)
+    moduli = tuple(reversed([_power_minus_one(k, n) for n in reversed(spec.levels)]))  # the longest first
     return OdometerKTheory(CyclicColimit(moduli, moduli[0] // (k - 1), spec.rule))
 
 

@@ -61,6 +61,7 @@ REFUSALS = [
     ["k0", "--k", "2", "--rule", "1,1"],
     ["k0", "--k", "2", "--rule", "1,2", "--stages", "0"],
     ["k0", "--k", "2", "--rule", "1,2", "--stages", "15"],
+    ["k0", "--k", "2", "--rule", "1,2", "--stages", "14000"],
     ["k0", "--k", "2", "--rule", "1,2", "--stages", "1000000"],
     ["k0", "--k", "2", "--rule", "1,2", "--stages", "1000000000000000000"],
     ["k0", "--k", "2", "--rule", "1,3", "--stages", "10"],
@@ -73,6 +74,7 @@ REFUSALS = [
     ["ok", "--k", "10", "--depth", "4"],
     ["ok", "--k", "10", "--depth", "5"],
     ["ok", "--k", "1000", "--depth", "4"],
+    ["ok", "--k", "2", "--depth", "14000"],
     ["ok", "--k", "2", "--depth", "1000000000"],
     ["ok", "--k", "2", "--depth", "1000000000000000000"],
     ["membership", "--k", "2", "--n", "0", "--values="],

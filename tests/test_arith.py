@@ -337,6 +337,12 @@ class TestPrintLimit:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_power_minus_one_forms_only_what_prints(self):
+        assert arith._power_minus_one(10, 4300) == 10 ** 4300 - 1
+        assert arith._power_minus_one(7, 1) == 6
+        with pytest.raises(ValueError, match="^10\\^4301 - 1 has more than 4300 digits"):
+            arith._power_minus_one(10, 4301)
+
     def test_a_level_too_long_to_print_is_not_named(self):
         with pytest.raises(ValueError) as refused:
             arith._check_printable(2, 10 ** 4300)
@@ -351,14 +357,15 @@ class TestPrintLimit:
         script = """
 import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from kcalc import (LocallyConstantFn, OdometerSpec, identify_cuntz_k_theory, k0_odometer,
+from kcalc import (Geometric, LocallyConstantFn, OdometerSpec, k0_odometer,
                    kernel_certificate, prime_power_order_witness, psi)
+from kcalc.cli import _rule_spec
 zero = LocallyConstantFn.zero(10**100, 10**5)
 probes = [
     lambda: k0_odometer(OdometerSpec(2, (10**12,))),
     lambda: kernel_certificate(2, 10**10),
     lambda: prime_power_order_witness(3, 2, 30, budget_bits=10**11),
-    lambda: identify_cuntz_k_theory(2, 10**18).moduli,
+    lambda: _rule_spec(2, Geometric(1, 2), 10**18),  # the tower of ok --k 2 --depth 10**18
     lambda: psi(zero),
 ]
 for probe in probes:

@@ -22,7 +22,7 @@ import kcalc
 from kcalc import arith, cli
 from kcalc.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from kcalc.groupoid import enumerate_arrows
-from oracles import full_parser
+from oracles import full_parser, tensor_route_identification
 from test_readme_reports import readme_examples
 
 
@@ -146,6 +146,42 @@ class TestOkCommand:
             "stage groups and connecting maps of all stages from one congruence,"
             " cofactor = 1 (mod k-1): exact computation"
         )
+
+    def test_base_three_and_four_towers(self, capsys):
+        three = run_json(capsys, "ok", "--k", "3", "--depth", "3")["results"]
+        assert three["moduli"] == [2, 26, 19682]
+        assert three["cofactors"] == [1, 13, 9841]
+        four = run_json(capsys, "ok", "--k", "4", "--depth", "3")["results"]
+        assert four["moduli"] == [3, 255, 4294967295]
+
+    def test_tower_matches_k0_rule_and_the_tensor_route(self, capsys):
+        # every depth whose moduli print, then the first depth refused: ok's tower is
+        # k0's under the rule 1,k and the one the tensor route builds stage by stage
+        deepest = {}
+        for k in range(2, 13):
+            depth = 2
+            while True:
+                ok = run_cli(capsys, "ok", "--k", str(k), "--depth", str(depth))
+                k0 = run_cli(capsys, "k0", "--k", str(k), "--rule", f"1,{k}", "--stages", str(depth))
+                if ok[0] != EXIT_OK:
+                    break
+                tower = json.loads(ok[1])["results"]
+                rule = json.loads(k0[1])["results"]
+                route = tensor_route_identification(k, depth)
+                stages = route["stages"]
+                assert tower["levels"] == rule["levels"] == list(route["levels"]), (k, depth)
+                assert tower["levels"] == [s["level"] for s in stages] == [k ** i for i in range(depth)]
+                assert tower["moduli"] == rule["moduli"] == list(route["moduli"]), (k, depth)
+                assert tower["moduli"] == [s["modulus"] for s in stages]
+                assert tower["cofactors"] == [s["cofactor"] for s in stages], (k, depth)
+                depth += 1
+            assert ok == k0 and ok[0] == EXIT_USAGE
+            assert ok[2] == (
+                f"error: {k}^{k ** (depth - 1)} - 1 has more than 4300 digits,"
+                " more than a report can print; use a smaller k or level\n"
+            )
+            deepest[k] = depth - 1
+        assert list(deepest.values()) == [14, 9, 7, 6, 5, 5, 5, 4, 4, 4, 4]
 
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "ok", "--k", "1")
@@ -682,6 +718,23 @@ class TestReportPlumbing:
     ids=["huge-exponent", "huge-negative-exponent", "long-rule", "deep-ok", "deep-groupoid", "raised-budget"],
 )
 def test_short_argv_is_refused_at_once(argv):
+    refused_in_a_fresh_interpreter(argv)
+
+
+def test_deep_ok_stops_where_the_same_rule_under_k0_stops():
+    # both expand the levels 2**(i-1) one at a time and stop at stage 15, so neither
+    # forms the 14000 levels nor prints the 4215-digit level 2**13999
+    ok = refused_in_a_fresh_interpreter(("ok", "--k", "2", "--depth", "14000"))
+    k0 = refused_in_a_fresh_interpreter(("k0", "--k", "2", "--rule", "1,2", "--stages", "14000"))
+    assert ok == k0 == (
+        "error: 2^16384 - 1 has more than 4300 digits, more than a report can print;"
+        " use a smaller k or level\n"
+    )
+    assert len(ok) < 200
+
+
+def refused_in_a_fresh_interpreter(argv) -> str:
+    """The one-line stderr of ``kcalc argv``, which must exit 2 without output."""
     # each would run without bound if it got past its guard; a fresh interpreter
     # under a 1 GiB address-space limit keeps a regression from taking the host down
     resource = pytest.importorskip("resource")
@@ -702,6 +755,7 @@ def test_short_argv_is_refused_at_once(argv):
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    return done.stderr
 
 
 # -- fuzzed argv ---------------------------------------------------------------

@@ -333,14 +333,12 @@ class TestDistinguish:
         assert w.q not in spec_b or spec_b[w.q].prefix_max < w.r
 
 
-# every value that the tensor route computes, fields and properties alike
+# every value of the identification that the tensor route computes, fields and properties
+# alike; the tower's levels, moduli and cofactors are the ok report's, checked in test_cli
 IDENTIFICATION_VALUES = (
-    "k", "depth", "supernatural", "levels", "moduli",
-    "induced_multipliers", "k0_order", "unit_class", "k1_trivial",
+    "k", "depth", "supernatural", "induced_multipliers", "k0_order", "unit_class", "k1_trivial",
 )
-STAGE_VALUES = (
-    "k", "stage", "level", "modulus", "tensored_modulus", "cofactor", "cofactor_congruences", "unit_image",
-)
+STAGE_VALUES = ("k", "stage", "tensored_modulus", "cofactor_congruences", "unit_image")
 
 
 class TestCuntzIdentification:
@@ -353,16 +351,13 @@ class TestCuntzIdentification:
 
     def test_base_three_depth_three(self):
         outcome = identify_cuntz_k_theory(3, 3)
-        assert outcome.moduli == (2, 26, 19682)
         assert all(s.tensored_modulus == 2 for s in outcome.stages)
-        assert [s.cofactor for s in outcome.stages] == [1, 13, 9841]
         assert outcome.induced_multipliers == (1, 1)
         assert outcome.unit_class == 1
         assert outcome.k1_trivial
 
     def test_base_four_depth_three(self):
         outcome = identify_cuntz_k_theory(4, 3)
-        assert outcome.moduli == (3, 255, 4294967295)
         assert all(s.tensored_modulus == 3 for s in outcome.stages)
         assert all(residue == 1 for s in outcome.stages for _, residue in s.cofactor_congruences)
         assert outcome.induced_multipliers == (1, 1)
@@ -404,7 +399,9 @@ class TestCuntzIdentification:
         for k in range(2, 14):
             for depth in range(2, 5):
                 outcome = identify_cuntz_k_theory(k, depth)
-                expected = tensor_route_identification(k, depth)
+                route = tensor_route_identification(k, depth)
+                expected = {name: route[name] for name in IDENTIFICATION_VALUES}
+                expected["stages"] = [{name: s[name] for name in STAGE_VALUES} for s in route["stages"]]
                 got = {name: getattr(outcome, name) for name in IDENTIFICATION_VALUES}
                 got["stages"] = [{name: getattr(s, name) for name in STAGE_VALUES} for s in outcome.stages]
                 assert got == expected, (k, depth)
@@ -417,7 +414,7 @@ class TestCuntzIdentification:
             for n in (0, 1, 2, target, k, k + 1, 2 * k - 3, k ** 2, k ** 5 + 7, 10 ** 9 + 9):
                 assert pow(k, n % target, square) == pow(k, n, square), (k, n)
             for stage in identify_cuntz_k_theory(k, 4).stages:
-                unreduced = (pow(k, stage.level, square) - 1) % square // target
+                unreduced = (pow(k, k ** (stage.stage - 1), square) - 1) % square // target
                 assert stage.unit_image == unreduced, (k, stage.stage)
 
     def test_huge_bases_answer_within_bounded_memory_and_time(self):

@@ -20,7 +20,7 @@ _spec.loader.exec_module(report_corpus)
 
 def test_reports_match_the_pinned_corpus_cold_and_warm():
     entries = json.loads(report_corpus.CORPUS.read_text(encoding="utf-8"))
-    assert len(entries) == 476
+    assert len(entries) == 478
 
     def moved():
         return [
