@@ -9,7 +9,8 @@ so that a diff of the file shows the new message.  The entries are:
 * the first whole round of each benchmark workload at seed 1: the argvs and
   the ``order_spectrum`` queries of the towers round;
 * the README's command-line examples, as printed and with ``--table``;
-* one argv for each refusal message, exit 2 and exit 3.
+* one argv for each refusal message, exit 2 and exit 3;
+* help flags before, inside and after a subcommand.
 
 ``tests/test_report_corpus.py`` checks every entry.  A change that moves a
 report on purpose regenerates the digests and names each entry that moved::
@@ -17,8 +18,9 @@ report on purpose regenerates the digests and names each entry that moved::
     PYTHONPATH=src python tests/golden/report_corpus.py
 
 ``--collect`` rebuilds the entry list itself from ``bench/workloads.py``, the
-README and ``REFUSALS`` below before it digests them; without it the stored
-argvs are kept, so a change under ``bench/`` cannot move the corpus.
+README, ``REFUSALS`` and ``HELP`` below before it digests them; without it
+the stored argvs are kept, so a change under ``bench/`` cannot move the
+corpus.
 """
 
 from __future__ import annotations
@@ -108,6 +110,15 @@ REFUSALS = [
     ["groupoid", "--k", "2", "--levels", "1,2,4", "--depth", "1", "--max-disp", "0", "--af-block", str(10 ** 2200)],
 ]
 
+# Help flags before, inside and after a subcommand, and before an unknown one.
+HELP = [
+    ["-h", "witness"],
+    ["witness", "-h"],
+    ["ok", "k0", "-h"],
+    ["k0", "--k", "2", "-h", "--levels", "1,2"],
+    ["--help", "frobnicate"],
+]
+
 
 def readme_argvs() -> list[list[str]]:
     """The README's ``kcalc`` examples under "## Command line", then each with ``--table``."""
@@ -119,7 +130,7 @@ def readme_argvs() -> list[list[str]]:
 
 
 def collect() -> list[dict]:
-    """The entries, rebuilt from the benchmark's first rounds, the README and REFUSALS."""
+    """The entries, rebuilt from the benchmark's first rounds, the README, REFUSALS and HELP."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -128,7 +139,7 @@ def collect() -> list[dict]:
         for i in range(workloads.round_size(workload)):
             q = workloads.query(workload, 1, i)
             entries.append({"argv": q["argv"]} if "argv" in q else {"spectrum": q["api"]})
-    entries += [{"argv": argv} for argv in readme_argvs() + REFUSALS]
+    entries += [{"argv": argv} for argv in readme_argvs() + REFUSALS + HELP]
     return entries
 
 

@@ -893,11 +893,13 @@ def parse_outcome(parser, words):
             return None, exc.code, out.getvalue(), err.getvalue()
 
 
-# words to put before and after a subcommand: help, end of options, options of
-# some subparsers or of none, a second subcommand name, and junk
+# words to put before and after a subcommand: help flags (one abbreviated), end
+# of options, options of some subparsers or of none, a second subcommand name,
+# and junk
 AROUND = st.lists(
     st.sampled_from(
-        ["-h", "--", "--json", "-x", "--k", "2", "--values", "--val", "-1/2,1", "junk", "", *cli._SUBCOMMANDS]
+        ["-h", "--help", "--he", "--", "--json", "-x", "--k", "2", "--values", "--val", "-1/2,1", "junk", ""]
+        + list(cli._SUBCOMMANDS)
     ),
     max_size=3,
 )
@@ -914,12 +916,12 @@ class TestParserConstruction:
         parser = cli.build_parser(["k0", "--k", "2", "--levels", "1,2"])
         parsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
         assert list(parsers) == list(cli._SUBCOMMANDS)
-        assert {"--k", "--levels", "--rule", "--stages"} <= {
+        assert {"-h", "--help", "--k", "--levels", "--rule", "--stages"} <= {
             flag for action in parsers["k0"]._actions for flag in action.option_strings
         }
         for name, parser in parsers.items():
             if name != "k0":
-                assert [a.option_strings for a in parser._actions] == [["-h", "--help"]], name
+                assert parser._actions == [], name
 
     @settings(max_examples=300, deadline=None)
     @given(argv=PARSER_ARGVS)
