@@ -13,8 +13,7 @@ from kcalc import Geometric, OdometerSpec, identify_cuntz_k_theory, k0_odometer
 
 for k in (2, 3, 4, 5, 7):
     outcome = identify_cuntz_k_theory(k, depth=4)
-    rule = Geometric(1, k)
-    spec = OdometerSpec(k, rule.levels(outcome.depth), rule=rule)
+    spec = OdometerSpec.from_rule(k, Geometric(1, k), outcome.depth)
     moduli = k0_odometer(spec).k0.moduli
     k0 = "0" if outcome.k0_order == 1 else f"Z_{outcome.k0_order}"
     print(f"k = {k}:  K_0 = {k0}, unit -> {outcome.unit_class}, K_1 = 0")

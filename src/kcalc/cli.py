@@ -11,10 +11,11 @@ handler and builds the report around them: the schema tag, the subcommand
 name, the inputs its subparser names with ``set_defaults(inputs=...)``, and
 the timing.
 
-The library refuses (exit 2) a k**n - 1 too long to print.  ``k0 --rule`` and
-``ok`` (the tower of ``k0 --rule 1,k``) expand their rule level by level under
-that check and read the moduli off ``k0_odometer``; the CLI refuses only what
-it parses or renders too long: a decimal exponent, or any other integer.
+The library refuses (exit 2) a k**n - 1 too long to print, and expands a level
+rule one level at a time under that check: ``k0 --rule`` and ``ok`` (the tower
+of ``k0 --rule 1,k``) take their levels from ``OdometerSpec.from_rule`` and
+their moduli from ``k0_odometer``.  The CLI refuses only what it parses or
+renders too long: a decimal exponent, or any other integer.
 
 ``main(argv)`` also serves in-process callers: it takes the words after
 ``kcalc`` and returns the exit code.  Each call builds a fresh parser, but
@@ -34,7 +35,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import Sequence
 
-from .arith import DEFAULT_BUDGET_BITS, FactorizationBudgetError, _check_printable
+from .arith import DEFAULT_BUDGET_BITS, FactorizationBudgetError
 from .colimit import (
     Geometric,
     distinguish_colimits,
@@ -76,20 +77,11 @@ def _parse_rule(text: str) -> Geometric:
     return Geometric(first, ratio)
 
 
-def _rule_spec(k: int, rule: Geometric, stages: int) -> OdometerSpec:
-    """The rule's first ``stages`` levels, each refused before the next if its k**n - 1 cannot print."""
-    levels = []
-    for i in range(1, stages + 1):  # levels at least double: a long rule stops early
-        levels.append(rule.level(i))
-        _check_printable(k, levels[-1])
-    return OdometerSpec(k, levels, rule=rule)
-
-
 def _spec_from_args(args) -> OdometerSpec:
     if args.levels is not None:
         return OdometerSpec(args.k, _parse_levels(args.levels))
     if args.rule is not None:
-        return _rule_spec(args.k, _parse_rule(args.rule), args.stages)
+        return OdometerSpec.from_rule(args.k, _parse_rule(args.rule), args.stages)
     raise ValueError("one of --levels or --rule is required")
 
 
@@ -143,7 +135,8 @@ def _cmd_k0(args) -> tuple[dict, list[str]]:
 
 def _cmd_ok(args) -> tuple[dict, list[str]]:
     outcome = identify_cuntz_k_theory(args.k, args.depth)  # checks the depth first
-    spec = _rule_spec(args.k, Geometric(1, args.k), args.depth)  # the levels k**(i-1), as k0 --rule 1,k
+    # the levels k**(i-1), as k0 --rule 1,k
+    spec = OdometerSpec.from_rule(args.k, Geometric(1, args.k), args.depth)
     moduli = k0_odometer(spec).k0.moduli
     k0_desc = "0" if outcome.k0_order == 1 else f"Z_{outcome.k0_order}"
     results = {

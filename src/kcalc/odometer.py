@@ -17,7 +17,9 @@ k, then one inverse of that power modulo k**n - 1.  The series criterion
 takes g(0) in closed form by the same kind of Horner pass and every later
 value by the recurrence g(x) = f(x) + g(x - 1) / k.  The two share no
 result: the series never calls psi, and its record stores only the preimage.
-Each raises ValueError before it forms a k**n - 1 too long to print.
+Each raises ValueError before it forms a k**n - 1 too long to print, and
+``OdometerSpec.from_rule`` expands a level rule under the same check, so a
+long rule stops at its first level whose k**n - 1 cannot print.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from random import Random
 
 from .abelian import CyclicElement
-from .arith import KPowerRational, _power_minus_one, _Value
+from .arith import KPowerRational, _check_printable, _power_minus_one, _Value
 from .colimit import CyclicColimit, Geometric
 
 __all__ = [
@@ -71,6 +73,17 @@ class OdometerSpec(_Value):
                 if rule.level(i) != n:
                     raise ValueError(f"stored level {n} at stage {i} does not match the rule")
         self._init(k, levels, rule)
+
+    @classmethod
+    def from_rule(cls, k: int, rule: Geometric, stages: int) -> "OdometerSpec":
+        """The rule's first ``stages`` levels, each refused before the next if its k**n - 1 cannot print."""
+        if k < 2:  # k = 1 passes every print check: refuse it before expanding
+            raise ValueError("k must be >= 2")
+        levels = []
+        for i in range(1, stages + 1):  # levels at least double: a long rule stops early
+            levels.append(rule.level(i))
+            _check_printable(k, levels[-1])
+        return cls(k, levels, rule=rule)
 
 
 class LocallyConstantFn(_Value):

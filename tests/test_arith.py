@@ -359,13 +359,13 @@ import resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from kcalc import (Geometric, LocallyConstantFn, OdometerSpec, k0_odometer,
                    kernel_certificate, prime_power_order_witness, psi)
-from kcalc.cli import _rule_spec
 zero = LocallyConstantFn.zero(10**100, 10**5)
 probes = [
     lambda: k0_odometer(OdometerSpec(2, (10**12,))),
     lambda: kernel_certificate(2, 10**10),
     lambda: prime_power_order_witness(3, 2, 30, budget_bits=10**11),
-    lambda: _rule_spec(2, Geometric(1, 2), 10**18),  # the tower of ok --k 2 --depth 10**18
+    # the tower of ok --k 2 --depth 10**18
+    lambda: OdometerSpec.from_rule(2, Geometric(1, 2), 10**18),
     lambda: psi(zero),
 ]
 for probe in probes:

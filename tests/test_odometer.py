@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcalc import arith
 from kcalc.abelian import CyclicElement, CyclicHom
 from kcalc.arith import KPowerRational
 from kcalc.odometer import (
@@ -113,6 +114,33 @@ class TestOdometerSpec:
         OdometerSpec(2, (1, 2, 4), rule=Geometric(1, 2))
         with pytest.raises(ValueError):
             OdometerSpec(2, (1, 2, 6), rule=Geometric(1, 2))
+
+    def test_from_rule_stores_the_rule_prefix(self):
+        for k, c, r, s in product(range(2, 7), (1, 2, 3), (2, 3), range(1, 6)):
+            rule = Geometric(c, r)
+            assert OdometerSpec.from_rule(k, rule, s) == OdometerSpec(k, rule.levels(s), rule=rule)
+
+    def test_from_rule_stops_at_the_first_level_too_long_to_print(self):
+        # the stage-15 stop of ok --k 2 --depth 14000
+        with pytest.raises(ValueError) as limit:
+            arith._check_printable(2, 16384)
+        assert str(limit.value).startswith("2^16384 - 1 has more than")
+        with pytest.raises(ValueError) as refused:
+            OdometerSpec.from_rule(2, Geometric(1, 2), 14000)
+        assert str(refused.value) == str(limit.value)
+
+    def test_from_rule_refuses_k_below_two_before_expanding(self, monkeypatch):
+        def level(rule, i):
+            raise AssertionError(f"expanded stage {i}")
+
+        monkeypatch.setattr(Geometric, "level", level)  # k = 1 passes every print check
+        with pytest.raises(ValueError, match="^k must be >= 2$"):
+            OdometerSpec.from_rule(1, Geometric(1, 2), 10**18)
+
+    @pytest.mark.parametrize("stages", [0, -1])
+    def test_from_rule_needs_a_stage(self, stages):
+        with pytest.raises(ValueError, match="^at least one level is required$"):
+            OdometerSpec.from_rule(2, Geometric(1, 2), stages)
 
 
 class TestTranslate:
