@@ -25,13 +25,13 @@ for rule_a, rule_b in pairs:
         w = verdict.witness
         print(f"{label}: DISTINCT")
         print(
-            f"  {verdict.prime}^{verdict.exponent} divides a level of the first"
+            f"  {w.p}^{w.s} divides a level of the first"
             f" tower (stage {verdict.first_stage_with_order}) and none of the second"
         )
         print(
             f"  witness {w.q}^{w.r} = {w.prime_power}: the order of 2 modulo"
             f" {w.prime_power} is {w.order}, so {w.prime_power} | 2^b - 1"
-            f" exactly when {verdict.prime}^{verdict.exponent} | b"
+            f" exactly when {w.p}^{w.s} | b"
         )
     else:
         print(f"{label}: inconclusive (no qualifying prime power)")

@@ -400,11 +400,6 @@ class KPowerRational:
             e += 1
         return cls(base, value.numerator * (power // den), e)
 
-    @staticmethod
-    def fraction_in_ring(value: Fraction, base: int) -> bool:
-        """True iff the exact rational lies in Z[1/base]."""
-        return radical_divides(value.denominator, base)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.numer, self.base ** self.expo)
 

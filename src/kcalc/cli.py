@@ -202,7 +202,7 @@ def _cmd_distinguish(args) -> tuple[dict, list[str]]:
         w = verdict.witness
         results.update(
             {
-                "qualifying_prime_power": f"{verdict.prime}^{verdict.exponent}",
+                "qualifying_prime_power": f"{w.p}^{w.s}",
                 "witness_prime_power": f"{w.q}^{w.r}",
                 "witness_value": w.prime_power,
                 "order_certificate": w.order,
@@ -516,7 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FactorizationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.subcommand == "selftest" and not results["all_ok"]:

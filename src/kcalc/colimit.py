@@ -4,10 +4,12 @@ Colimit prefixes (connecting maps and unit thread read off the moduli),
 the order spectrum, prime-power order witnesses, non-isomorphism tests for
 limits built from geometric level rules, and the pipeline identifying the
 UHF-tensored odometer tower with the K-theory of a Cuntz algebra, which
-forms no level and no k**n: every level is 1 mod k-1, so one congruence
-mod k-1 certifies every stage, and K_1 = 0 holds at every level.  The
-identification stores only that congruence, and a verdict is distinct
-exactly when it holds a witness.  The tower's levels and moduli themselves
+forms no level and no k**n: as k = 1 mod k-1, each stage's cofactor
+1 + k + ... + k**(n-1) is n mod k-1, and every level n = k**(i-1) is 1
+mod k-1, so the cofactor is 1 mod k-1 at every stage, which leaves nothing
+to compute, and K_1 = 0 holds at every level.  The identification stores
+only that congruence, and a verdict is distinct exactly when it holds a
+witness.  The tower's levels and moduli themselves
 come from ``odometer.k0_odometer`` under the level rule Geometric(1, k).
 The witness's k**(p**s) - 1 raises ValueError if too long to print.
 """
@@ -34,7 +36,6 @@ __all__ = [
     "OrderBound",
     "PrimePowerWitness",
     "DistinguishVerdict",
-    "StageCongruenceError",
     "IdentificationStage",
     "CuntzIdentification",
     "order_spectrum",
@@ -246,16 +247,6 @@ class DistinguishVerdict(_Value):
         return self.witness is not None
 
     @property
-    def prime(self) -> int | None:
-        """The prime p of the qualifying prime power p**s, or None without a witness."""
-        return None if self.witness is None else self.witness.p
-
-    @property
-    def exponent(self) -> int | None:
-        """The exponent s of the qualifying prime power p**s, or None without a witness."""
-        return None if self.witness is None else self.witness.s
-
-    @property
     def verdict(self) -> str:
         return "distinct" if self.distinct else "inconclusive"
 
@@ -292,10 +283,6 @@ def distinguish_colimits(
             stage = 1 + -(-(s - reach_a) // valuation(rule_a.ratio, p))
         return DistinguishVerdict(witness, stage)
     return DistinguishVerdict()
-
-
-class StageCongruenceError(Exception):
-    """The congruence that certifies every stage of the identification failed."""
 
 
 class IdentificationStage(_Value):
@@ -366,27 +353,20 @@ class CuntzIdentification(_Value):
 def identify_cuntz_k_theory(k: int, depth: int) -> CuntzIdentification:
     """Certify K_0 = Z_{k-1} (unit at 1) and K_1 = 0 for the tensored tower.
 
-    Stage i has level n = k**(i-1) and modulus k**n - 1 = M * c, M = k - 1.
-    As k = 1 (mod M), every level n is 1 (mod M), and k**M = 1 (mod M**2),
-    so k**n = k (mod M**2) at every stage: one residue gives the cofactor
-    c mod M of all stages at once, and neither a level nor k**n is formed.
-    One check, c = 1 (mod M), certifies every stage and implies the rest:
-    no prime of M divides c, so the tensor with the localized group of type
+    Stage i has level n = k**(i-1) and modulus k**n - 1 = M * c, M = k - 1,
+    with cofactor c = 1 + k + ... + k**(n-1).  The congruence c = 1 (mod M)
+    holds at every stage by proof: k = 1 (mod M), so c = n (mod M), and
+    n = k**(i-1) = 1 (mod M).  Neither a level nor k**n is formed, and
+    nothing is left to check.  The congruence implies the rest: no prime of
+    M divides c, so the tensor with the localized group of type
     ``complement(M)`` has order M; c is 1 modulo every prime of M; the unit
     class c maps to 1 mod M; and the induced connecting multiplier
     c_{i+1} / c_i is 1 mod M.  Only that congruence is stored, at any depth.
     K_1 = 0 at every level, as the kernel pivot 1 - k**-n has numerator
-    k**n - 1 = -1 (mod k).  A failed check raises StageCongruenceError.
+    k**n - 1 = -1 (mod k).
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    target = k - 1
-    square = target * target
-    one = 1 % target
-    # k**n with n = 1 (mod M), the residue of every level; c mod M is the same at every stage
-    cofactor = (pow(k, one, square) - 1) % square // target
-    if cofactor != one:
-        raise StageCongruenceError(f"cofactor is {cofactor}, not 1, mod {target}")
-    return CuntzIdentification(k, depth, tuple((p, cofactor % p) for p in prime_factors(target)))
+    return CuntzIdentification(k, depth, tuple((p, 1) for p in prime_factors(k - 1)))

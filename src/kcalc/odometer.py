@@ -28,7 +28,7 @@ from fractions import Fraction
 from random import Random
 
 from .abelian import CyclicElement
-from .arith import KPowerRational, _check_printable, _power_minus_one, _Value
+from .arith import KPowerRational, _check_printable, _power_minus_one, _Value, radical_divides
 from .colimit import CyclicColimit, Geometric
 
 __all__ = [
@@ -232,7 +232,7 @@ def membership_series(f: LocallyConstantFn) -> SeriesMembership:
     g_values = [Fraction(k * s, modulus * unit)]
     for x in range(1, n):
         g_values.append(Fraction(numerators[x], unit) + g_values[-1] / k)
-    if not all(KPowerRational.fraction_in_ring(v, k) for v in g_values):
+    if not all(radical_divides(v.denominator, k) for v in g_values):
         return SeriesMembership(None)
     g = LocallyConstantFn.from_fractions(k, g_values)
     recovered = g - pv_endomorphism(g)
@@ -264,8 +264,6 @@ class OdometerKTheory(_Value):
     """K-theory of the odometer tower: the K_0 colimit, with the kernel pivots read off its moduli."""
 
     __slots__ = ("k0",)
-
-    k1_trivial = True  # pivot 1 - k**-n: k**n - 1 = -1 (mod k) at every level n >= 1, never 0
 
     def __init__(self, k0: CyclicColimit):
         self._init(k0)

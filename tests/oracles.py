@@ -235,7 +235,6 @@ def double_sum_membership_series(f):
     g(x) = (k**n / (k**n - 1)) * sum_{j=0}^{n-1} k**-j f(x - j) for every x,
     in exact rational arithmetic.
     """
-    from kcalc.arith import KPowerRational
     from kcalc.odometer import LocallyConstantFn, SeriesMembership, pv_endomorphism
 
     k, n = f.k, f.level
@@ -245,7 +244,9 @@ def double_sum_membership_series(f):
     for x in range(n):
         s = sum(Fraction(values[(x - j) % n], k ** j) for j in range(n))
         g_values.append(scale * s)
-    if not all(KPowerRational.fraction_in_ring(v, k) for v in g_values):
+    # v lies in Z[1/k] iff its denominator d divides a power of k; no prime
+    # occurs in d as often as d.bit_length(), so k**d.bit_length() is one
+    if not all(k ** v.denominator.bit_length() % v.denominator == 0 for v in g_values):
         return SeriesMembership(None)
     g = LocallyConstantFn.from_fractions(k, g_values)
     recovered = g - pv_endomorphism(g)
@@ -306,7 +307,7 @@ def tensor_route_identification(k: int, depth: int) -> dict:
         "induced_multipliers": tuple(h.multiplier % target for h in tower.k0.maps),
         "k0_order": stages[-1]["tensored_modulus"],
         "unit_class": stages[-1]["unit_image"],
-        "k1_trivial": tower.k1_trivial,
+        "k1_trivial": all(m % k == k - 1 for m in tower.k0.moduli),
     }
 
 

@@ -1,5 +1,6 @@
 """Tests for cyclic groups, localized quotients and tensor reductions."""
 
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -33,6 +34,11 @@ class TestCyclicElement:
         assert (a - b).residue == 1
         assert (-a).residue == 2
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_other_operands_are_not_implemented(self, op):
+        with pytest.raises(TypeError):
+            op(CyclicElement(3, 1), 1)
+
 
 class TestCyclicHom:
     def test_well_definedness(self):
@@ -45,6 +51,22 @@ class TestCyclicHom:
         assert h(CyclicElement(2, 1)) == CyclicElement(8, 4)
         ident = CyclicHom(6, 6, 1)
         assert ident(CyclicElement(6, 5)) == CyclicElement(6, 5)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CyclicElement(0, 1), "modulus must be positive"),
+        (lambda: CyclicElement(3, 1) + CyclicElement(4, 1), "mixed moduli"),
+        (lambda: CyclicHom(0, 3, 0), "moduli must be positive"),
+        (lambda: CyclicHom(3, -3, 0), "moduli must be positive"),
+        (lambda: CyclicHom(2, 4, 2)(CyclicElement(3, 1)), "element does not live in the source group"),
+    ],
+    ids=["element-modulus", "mixed-moduli", "hom-source", "hom-target", "foreign-element"],
+)
+def test_cyclic_types_refuse(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 class TestLocalizedQuotient:

@@ -1,6 +1,7 @@
 """Tests for the exact-arithmetic foundation."""
 
 import copy
+import operator
 import os
 import pickle
 import subprocess
@@ -55,6 +56,22 @@ class TestKPowerRational:
         with pytest.raises(ValueError):
             KPowerRational(2, 1) + KPowerRational(3, 1)
 
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_other_operands_are_not_implemented(self, op):
+        with pytest.raises(TypeError):
+            op(KPowerRational(2, 1), 1)
+
+    def test_equality_across_bases_is_equality_of_rationals(self):
+        # 1/2 in Z[1/2] and 2/4 in Z[1/4]: equal values, so equal hashes
+        half, quarters = KPowerRational(2, 1, 1), KPowerRational(4, 2, 1)
+        assert half == quarters and hash(half) == hash(quarters)
+        assert half != KPowerRational(4, 1, 1)
+        assert KPowerRational(2, 1) != 1  # no equality with other types
+
+    def test_truth_is_nonzero(self):
+        assert KPowerRational(3, 5, 2)
+        assert not KPowerRational(3, 0, 4)
+
     def test_from_fraction_and_back(self):
         v = KPowerRational.from_fraction(2, Fraction(3, 8))
         assert (v.numer, v.expo) == (3, 3)
@@ -63,8 +80,6 @@ class TestKPowerRational:
     def test_from_fraction_rejects_foreign_denominator(self):
         with pytest.raises(ValueError):
             KPowerRational.from_fraction(2, Fraction(1, 3))
-        assert not KPowerRational.fraction_in_ring(Fraction(1, 6), 2)
-        assert KPowerRational.fraction_in_ring(Fraction(5, 12), 6)
 
     @given(
         base=st.integers(2, 10),
@@ -491,6 +506,22 @@ class TestSupernatural:
         assert s.coprime_to_all_of(m) == all(multiplicity(p) == 0 for p in valuations)
         finite = prod(p ** v for p, v in valuations.items() if multiplicity(p) is not None)
         assert tensor_cyclic_with_localized(m, s).modulus == finite
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: radical_divides(0, 2), "radical_divides expects positive integers"),
+        (lambda: radical_divides(2, 0), "radical_divides expects positive integers"),
+        (lambda: multiplicative_order(2, 0), "modulus must be positive"),
+        (lambda: SupernaturalNumber.coprime_complement(0), "d must be positive"),
+        (lambda: SupernaturalNumber.from_powers({2: 1}).multiplicity(4), "4 is not prime"),
+    ],
+    ids=["radical-m", "radical-d", "order-modulus", "complement-zero", "multiplicity-non-prime"],
+)
+def test_arith_refuses(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 class TestRadicalDivides:

@@ -255,6 +255,13 @@ class TestMembershipCommand:
         assert report["results"]["member_by_psi"] and report["results"]["member_by_series"]
         assert report["results"]["witness"] == [str(v) for v in g]
 
+    # "1e5x" has no integer exponent, so the exponent check passes it on to Fraction
+    @pytest.mark.parametrize("values", ["1e5x,0", "1/0,0"])
+    def test_malformed_value_list_exits_2(self, capsys, values):
+        code, out, err = run_cli(capsys, "membership", "--k", "2", "--n", "2", f"--values={values}")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: malformed value list: {values!r}\n"
+
     def test_foreign_value_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "membership", "--k", "2", "--n", "1", "--values", "1/3")
         assert code == EXIT_USAGE

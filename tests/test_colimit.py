@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import product
@@ -165,6 +166,22 @@ class TestOrderSpectrum:
             order_spectrum(binary_tower(), budget_bits=-5)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Geometric(1, 2).level(0), "stages are numbered from 1"),
+        (lambda: PrimePowerWitness(2, 3, 1, 5, 1), "5 does not divide 2**3 - 1"),
+        (lambda: PrimePowerWitness(2, 2, 2, 3, 1), "3 divides 2**2 - 1"),
+        (lambda: distinguish_colimits(1, Geometric(1, 2), Geometric(1, 3)), "k must be >= 2"),
+        (lambda: identify_cuntz_k_theory(1, 2), "k must be >= 2"),
+    ],
+    ids=["stage-zero", "order-too-large", "order-too-small", "distinguish-k", "identify-k"],
+)
+def test_colimit_refuses(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 class TestPrimePowerWitness:
     def test_example_base_two_four(self):
         w = prime_power_order_witness(2, 2, 2)
@@ -265,7 +282,7 @@ class TestDistinguish:
     def test_example_ratio_two_vs_three(self):
         verdict = distinguish_colimits(2, Geometric(1, 2), Geometric(1, 3))
         assert verdict.distinct
-        assert (verdict.prime, verdict.exponent) == (2, 1)
+        assert (verdict.witness.p, verdict.witness.s) == (2, 1)
         assert verdict.witness.prime_power == 3
         assert verdict.witness.order == 2
         assert verdict.first_stage_with_order == 2
@@ -273,7 +290,7 @@ class TestDistinguish:
     def test_swapped_arguments_find_their_own_witness(self):
         verdict = distinguish_colimits(2, Geometric(1, 3), Geometric(1, 2))
         assert verdict.distinct
-        assert (verdict.prime, verdict.exponent) == (3, 1)
+        assert (verdict.witness.p, verdict.witness.s) == (3, 1)
         assert verdict.witness.prime_power == 7
 
     def test_identical_rules_inconclusive(self):
@@ -281,7 +298,6 @@ class TestDistinguish:
             verdict = distinguish_colimits(2, rule, rule)
             assert not verdict.distinct
             assert verdict.witness is None
-            assert verdict.prime is verdict.exponent is None
 
     def test_cofinal_rules_inconclusive(self):
         # same ratio, shifted start: every prime power reached by one is
@@ -292,7 +308,7 @@ class TestDistinguish:
     def test_example_ratio_six_vs_two(self):
         verdict = distinguish_colimits(2, Geometric(1, 6), Geometric(1, 2))
         assert verdict.distinct
-        assert (verdict.prime, verdict.exponent) == (3, 1)
+        assert (verdict.witness.p, verdict.witness.s) == (3, 1)
         assert verdict.witness.prime_power == 7
         assert verdict.witness.order == 3
 
@@ -301,7 +317,7 @@ class TestDistinguish:
         rule_a, rule_b = Geometric(2 ** 100, 3), Geometric(1, 3)
         verdict = distinguish_colimits(2, rule_a, rule_b, budget_bits=200)
         assert verdict.distinct
-        assert (verdict.prime, verdict.exponent) == (2, 1)
+        assert (verdict.witness.p, verdict.witness.s) == (2, 1)
         assert verdict.witness.prime_power == 3
         with pytest.raises(FactorizationBudgetError, match="guard is 8 bits"):
             distinguish_colimits(2, rule_a, rule_b, budget_bits=8)

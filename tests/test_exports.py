@@ -127,7 +127,7 @@ def _value_cases():
             (witness, 2),
             ("witness", "first_stage_with_order"),
             f"DistinguishVerdict(witness={WITNESS}, first_stage_with_order=2)",
-            {"distinct": False, "prime": None, "exponent": None, "witness": None, "first_stage_with_order": None},
+            {"distinct": False, "witness": None, "first_stage_with_order": None},
         ),
         (
             IdentificationStage,

@@ -339,6 +339,23 @@ class TestRefinement:
         assert refined == finer
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Cylinder(0, 0, ()), "vertex level must be positive"),
+        # a one-letter source under a two-letter target
+        (
+            lambda: refine_arrow(ArrowClass(Cylinder(2, 0, (1,)), Cylinder(2, 1, (1, 1)), 1, 0), 2),
+            "refinement expects uniform word depth",
+        ),
+    ],
+    ids=["cylinder-level", "refine-mixed-depths"],
+)
+def test_groupoid_refuses(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 class TestIsotropyCertificate:
     def test_example_first_level_past_bound(self):
         cert = certify_no_isotropy(OdometerSpec(2, (1, 2, 4, 8)), 5)

@@ -178,6 +178,28 @@ class TestLevelBelowOne:
             build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OdometerSpec(1, (1,)), "k must be >= 2"),
+        (lambda: LocallyConstantFn(2, (KPowerRational(3, 1),)), "all entries must share the base k"),
+        (lambda: LocallyConstantFn.zero(2, 2) + LocallyConstantFn.zero(2, 3), "mixed bases or levels"),
+        (lambda: LocallyConstantFn.zero(2, 2) - LocallyConstantFn.zero(3, 2), "mixed bases or levels"),
+        (lambda: kernel_certificate(1, 1), "need k >= 2 and n >= 1"),
+    ],
+    ids=["spec-k", "entry-base", "mixed-levels", "mixed-bases", "kernel-k"],
+)
+def test_odometer_refuses(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_negation_negates_every_value():
+    f = LocallyConstantFn.from_fractions(2, [1, Fraction(-1, 2), 0])
+    assert -f == LocallyConstantFn.from_fractions(2, [-1, Fraction(1, 2), 0])
+    assert -f + f == LocallyConstantFn.zero(2, 3)
+
+
 class TestPvEndomorphism:
     def test_delta_definition(self):
         out = pv_endomorphism(LocallyConstantFn.delta(2, 2, 0))
@@ -433,7 +455,7 @@ class TestK0Odometer:
         assert [h.target_modulus for h in result.k0.maps] == [3, 15]
         # raw ratios 3 and 5; stored reduced in the homs
         assert result.k0.maps[1].multiplier == 5
-        assert result.k1_trivial
+        assert all(result.kernel_certificates)
 
     def test_example_base_three(self):
         result = k0_odometer(OdometerSpec(3, (1, 3)))
